@@ -4,8 +4,7 @@ The package models the full mixed-signal MAC pipeline: 7-bit hardware
 floating-point codes (E2M5 / E3M4) through an FP-DAC into an RRAM
 crossbar, and the column currents back out through a dynamic-range
 adaptive FP-ADC.  On top of the macro sit a conv/FC layer mapper with
-partial-sum planning, a toy-scale quantized-inference harness, and a
-calibrated performance model.
+partial-sum planning and a calibrated performance model.
 """
 
 from .adc import AdcConfig, AdcResult, convert_analytic, simulate_transient

@@ -3,18 +3,23 @@
 The converter integrates the column current onto a reconfigurable
 capacitor bank.  Each time the integrator output reaches ``v_th`` an
 extra capacitor is switched in and the charge redistributes, dropping the
-output to exactly ``v_mid = (v_th + v_reset) / 2`` thanks to the doubling
-bank ``[C, C, 2C, 4C, ...]``.  The number of charge-share events is the
-exponent; the residue voltage sampled at ``t_int`` is digitized by a
-single-slope ramp into the mantissa.  A result that never reaches
-``v_mid`` by the sample moment is not read out (zero code, underflow
-flag); running out of bank capacitors saturates to the top code.
+output to exactly ``v_mid = v_th / 2`` thanks to the doubling bank
+``[C, C, 2C, 4C, ...]`` and the 0 V reset level.  The number of
+charge-share events is the exponent; the residue voltage sampled at
+``t_int`` is digitized by a single-slope ramp into the mantissa.  A result
+that never reaches ``v_mid`` by the sample moment is not read out (zero
+code, underflow flag); running out of bank capacitors saturates to the top
+code.  ``v_mid``, the reset level and the bank itself are derived from
+``v_th``, ``c_int`` and ``exp_max``, not set.
 
 Two conversion paths are provided: ``simulate_transient`` is the
 event-driven simulation with a full trace, ``convert_analytic`` the
-closed-form converter used as its oracle.  Both share the single-slope
-readout, which uses ceiling semantics (the counter stops on the first
-ramp step at or above the sampled voltage, a +1/2 LSB bias).
+closed-form converter used as its oracle (``convert_analytic_array`` is its
+vectorized form).  Both share the single-slope readout, which uses ceiling
+semantics (the counter stops on the first ramp step at or above the sampled
+voltage, a +1/2 LSB bias).  ``int8_baseline_convert`` is the fixed-range
+INT8 converter the adaptive one is compared against; all converters read
+the same normalized input ``x`` (``adc_x``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,86 +37,77 @@ __all__ = [
     "AdcConfig",
     "AdcEvent",
     "AdcResult",
+    "adc_x",
     "charge_share",
+    "check_format",
     "single_slope",
     "convert_analytic",
     "convert_analytic_array",
     "simulate_transient",
     "int8_baseline_convert",
     "trace_to_csv",
-    "FP_CONVERSION_TIME",
-    "INT8_CONVERSION_TIME",
+    "INT8_LSB",
+    "LATENCY_NS",
 ]
 
-# Full conversion windows: 100 ns integrate + 100 ns ramp for the adaptive
-# path; the fixed-range INT8 baseline needs a 4x longer ramp to keep its
-# LSB, 100 ns + 400 ns.
-FP_CONVERSION_TIME = 200e-9
-INT8_CONVERSION_TIME = 500e-9
+# Full conversion windows in integer nanoseconds, so published ratios are
+# exact: 100 ns integrate + 100 ns ramp for the adaptive E2M5 path; the
+# fixed-range INT8 baseline needs a 4x longer ramp to keep its LSB,
+# 100 ns + 400 ns.
+LATENCY_NS = {"E2M5": 200, "E3M4": 150, "INT8": 500}
 
-
-def _default_bank(fmt: FpFormat, c_int: float) -> tuple[float, ...]:
-    """[C, C, 2C, 4C, ...]: one doubling capacitor per exponent step."""
-    return (c_int,) + tuple(c_int * 2.0**k for k in range(fmt.exp_max))
+# The INT8 baseline quantizes x uniformly over [0, 16), the whole E2M5
+# adaptive input range, in 256 steps.
+INT8_FULL_SCALE = 2.0 ** (E2M5.exp_max + 1)
+INT8_LSB = INT8_FULL_SCALE / 256.0
 
 
 @dataclass(frozen=True)
 class AdcConfig:
-    """Capacitor bank, thresholds and timing of one column converter."""
+    """Capacitor bank, threshold and timing of one column converter.
+
+    The bank holds ``exp_max + 1`` capacitors ``[C, C, 2C, 4C, ...]``.
+    """
 
     c_int: float = 100e-15
-    cap_bank: tuple[float, ...] = ()
+    exp_max: int = E2M5.exp_max
     v_th: float = 2.0
-    v_mid: float = 1.0
-    v_reset: float = 0.0
     t_int: float = 95e-9
-    ramp_steps: int = 32
-    offset: float = 0.0
-    offset_cancel: bool = True
+    ramp_steps: int = E2M5.mant_levels
 
     def __post_init__(self):
-        if not self.cap_bank:
-            object.__setattr__(self, "cap_bank", _default_bank(E2M5, self.c_int))
         if self.c_int <= 0 or self.t_int <= 0:
             raise ContractError("c_int and t_int must be positive")
-        if self.cap_bank[0] != self.c_int:
-            raise ContractError("cap_bank[0] must equal c_int")
-        expected = _default_bank_from(self.c_int, len(self.cap_bank))
-        if tuple(self.cap_bank) != expected:
-            raise ContractError(
-                "cap_bank must follow the doubling sequence [C, C, 2C, 4C, ...]"
-            )
-        if not self.v_reset < self.v_mid < self.v_th:
-            raise ContractError("need v_reset < v_mid < v_th")
-        if not math.isclose(self.v_mid, 0.5 * (self.v_th + self.v_reset), rel_tol=1e-12):
-            raise ContractError("charge sharing requires v_mid = (v_th + v_reset) / 2")
-        if self.v_reset != 0.0:
-            raise ContractError("the exponent segmentation requires v_reset = 0")
+        if self.exp_max < 0:
+            raise ContractError("exp_max must be >= 0")
+        if self.v_th <= 0:
+            raise ContractError("v_th must be positive")
         if self.ramp_steps < 2:
             raise ContractError("ramp needs at least 2 steps")
 
     @classmethod
     def for_format(cls, fmt: FpFormat, c_int: float = 100e-15, **kwargs) -> "AdcConfig":
-        return cls(
-            c_int=c_int,
-            cap_bank=_default_bank(fmt, c_int),
-            ramp_steps=fmt.mant_levels,
-            **kwargs,
-        )
+        return cls(c_int=c_int, exp_max=fmt.exp_max, ramp_steps=fmt.mant_levels, **kwargs)
 
     @property
-    def exp_max(self) -> int:
-        """Largest exponent: one per extra capacitor in the bank."""
-        return len(self.cap_bank) - 1
+    def v_reset(self) -> float:
+        """Integrator reset level; the exponent segmentation needs 0 V."""
+        return 0.0
 
     @property
-    def x_unit(self) -> float:
-        """Current that integrates to v_mid on C_int over t_int: the x = 1 point."""
-        return self.v_mid * self.c_int / self.t_int
+    def v_mid(self) -> float:
+        """Level every charge share lands on: (v_th + v_reset) / 2."""
+        return self.v_th / 2
+
+    @property
+    def cap_bank(self) -> tuple[float, ...]:
+        """[C, C, 2C, 4C, ...]: one doubling capacitor per exponent step."""
+        return (self.c_int,) + tuple(self.c_int * 2.0**k for k in range(self.exp_max))
 
 
-def _default_bank_from(c_int: float, n: int) -> tuple[float, ...]:
-    return (c_int,) + tuple(c_int * 2.0**k for k in range(n - 1))
+def adc_x(i_mac, config: AdcConfig):
+    """Converter input ``x = i * t_int / (c_int * v_mid)``; x = 1 integrates to v_mid."""
+    return i_mac * config.t_int / (config.c_int * config.v_mid)
 
 
 @dataclass
@@ -157,7 +152,8 @@ def single_slope(v_m: float, config: AdcConfig) -> int:
     return min(max(k, 0), config.ramp_steps - 1)
 
 
-def _format_for(config: AdcConfig, fmt: FpFormat) -> None:
+def check_format(config: AdcConfig, fmt: FpFormat) -> None:
+    """Raise unless the bank and ramp match the format's exponent and mantissa."""
     if config.exp_max != fmt.exp_max or config.ramp_steps != fmt.mant_levels:
         raise ContractError(
             f"ADC bank/ramp ({config.exp_max + 1} caps, {config.ramp_steps} steps) "
@@ -175,8 +171,8 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> A
     """
     if i_mac < 0:
         raise ContractError("negative MAC current")
-    _format_for(config, fmt)
-    x = i_mac * config.t_int / (config.c_int * config.v_mid)
+    check_format(config, fmt)
+    x = adc_x(i_mac, config)
     if x < 1.0:
         return AdcResult(FpCode(0, 0, fmt), v_m=x * config.v_mid, underflow=True)
     e = math.frexp(x)[1] - 1  # exact binade, no log rounding at the edges
@@ -196,9 +192,8 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat =
     i = np.asarray(i_mac, dtype=float)
     if i.size and np.min(i) < 0:
         raise ContractError("negative MAC current")
-    _format_for(config, fmt)
-    # same expression grouping as the scalar path, for bit-identical x
-    x = i * config.t_int / (config.c_int * config.v_mid)
+    check_format(config, fmt)
+    x = adc_x(i, config)
     underflow = x < 1.0
     mant_frac, expo = np.frexp(np.maximum(x, 1.0))
     e = expo - 1  # x = mant_frac * 2^expo with mant_frac in [0.5, 1)
@@ -245,10 +240,10 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
     threshold crossings trigger charge-share events computed by exact
     charge conservation.
     """
-    _format_for(config, fmt)
+    check_format(config, fmt)
     segments = _current_segments(i_of_t, config.t_int)
 
-    v = config.v_reset + (0.0 if config.offset_cancel else config.offset)
+    v = config.v_reset
     c_active = config.cap_bank[0]
     shares = 0
     saturated = False
@@ -294,24 +289,21 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
     return AdcResult(FpCode(shares, mant, fmt), v_m=v_m, trace=trace)
 
 
-class Int8Conversion(NamedTuple):
-    code: int
-    conversion_time: float
-
-
-def int8_baseline_convert(i_mac: float, config: AdcConfig) -> Int8Conversion:
+def int8_baseline_convert(i_mac, config: AdcConfig):
     """Fixed-range INT8 single-slope reference conversion.
 
     Uniform 256-step quantization of x over [0, 16) with the same ceiling
     counter semantics; the fixed range costs a 4x longer ramp on the
-    100 ns readout, 500 ns total against the adaptive path's 200 ns.
+    100 ns readout (``LATENCY_NS``).  Returns (codes uint8, underflow,
+    saturated) arrays shaped like ``i_mac``: the zero code underflows, and
+    x at or beyond the full scale saturates.
     """
-    if i_mac < 0:
+    i = np.asarray(i_mac, dtype=float)
+    if i.size and np.min(i) < 0:
         raise ContractError("negative MAC current")
-    x = i_mac * config.t_int / (config.c_int * config.v_mid)
-    full_scale = 2.0 ** (E2M5.exp_max + 1)  # 16: the whole adaptive input range
-    code = min(max(math.ceil(x * 256.0 / full_scale), 0), 255)
-    return Int8Conversion(code, INT8_CONVERSION_TIME)
+    x = adc_x(i, config)
+    codes = np.clip(np.ceil(x / INT8_LSB), 0, 255)
+    return codes.astype(np.uint8), codes == 0, x >= INT8_FULL_SCALE
 
 
 def trace_to_csv(result: AdcResult, path) -> None:

@@ -1,9 +1,13 @@
 """One compute-in-memory macro: row DACs, differential crossbar, column ADCs.
 
-A macro MAC drives up to 576 row voltages from 7-bit input codes,
-collects the differential column currents and converts each column pair
-with its own ADC.  The two unsigned conversions are subtracted digitally
-in double precision, so the converter never sees a signed value.
+A macro MAC drives up to ``xbar.MAX_ROWS`` (576) row voltages from 7-bit
+input codes and collects the differential currents of up to
+``xbar.MAX_COLS`` (256) column pairs.  Both columns of a pair go through
+the same converter, the adaptive FP-ADC (``readout="adc"``) or the
+fixed-range INT8 baseline (``"int8"``); each converted code is read back
+as its x value and the two are subtracted digitally in double precision,
+so the converter never sees a signed value.  ``"identity"`` bypasses the
+analog chain and returns the exact dot product.
 
 The digital result is reported in dimensionless dot-product units
 ``sum_i decode(input_i) * level_i`` (``level`` the signed integer
@@ -22,11 +26,11 @@ import numpy as np
 from . import adc as adc_mod
 from . import dac as dac_mod
 from . import fpcodec
-from .adc import AdcConfig, convert_analytic_array
+from .adc import INT8_LSB, LATENCY_NS, AdcConfig, convert_analytic_array, int8_baseline_convert
 from .dac import DacConfig, dac_convert_bits
 from .errors import ContractError
 from .fpcodec import E2M5, E3M4, FpFormat
-from .xbar import ConductancePair, DeviceModel
+from .xbar import MAX_COLS, MAX_ROWS, ConductancePair, DeviceModel
 
 __all__ = [
     "MacroConfig",
@@ -39,31 +43,34 @@ __all__ = [
 
 READOUTS = ("adc", "identity", "int8")
 
-# Table-level defaults: total conversion latency per macro cycle.
-LATENCY = {E2M5: 200e-9, E3M4: 150e-9}
 # Full-scale DAC swing that keeps the top code under the 2.5 V supply.
 V_UNIT = {E2M5: 0.1, E3M4: 0.01}
 
 
 @dataclass(frozen=True)
 class MacroConfig:
-    rows: int = 576
-    cols: int = 256
+    rows: int = MAX_ROWS
+    cols: int = MAX_COLS
     fmt: FpFormat = E2M5
     dac: DacConfig = field(default_factory=DacConfig)
     adc: AdcConfig = field(default_factory=AdcConfig)
     device: DeviceModel = field(default_factory=DeviceModel)
-    latency: float = 200e-9
 
     def __post_init__(self):
-        if not (1 <= self.rows <= 576 and 1 <= self.cols <= 256):
-            raise ContractError("macro dimensions limited to 576x256")
+        if not (1 <= self.rows <= MAX_ROWS and 1 <= self.cols <= MAX_COLS):
+            raise ContractError(f"macro dimensions limited to {MAX_ROWS}x{MAX_COLS}")
+        adc_mod.check_format(self.adc, self.fmt)
         if self.latency <= self.adc.t_int:
             raise ContractError("macro latency must exceed the ADC integration window")
         dac_mod.check_headroom(self.dac, self.fmt)
 
+    @property
+    def latency(self) -> float:
+        """Seconds per macro cycle: the format's conversion time."""
+        return LATENCY_NS[self.fmt.name] / 1e9
+
     @classmethod
-    def for_format(cls, fmt: FpFormat, rows: int = 576, cols: int = 256,
+    def for_format(cls, fmt: FpFormat, rows: int = MAX_ROWS, cols: int = MAX_COLS,
                    device: DeviceModel | None = None, **kwargs) -> "MacroConfig":
         return cls(
             rows=rows,
@@ -72,7 +79,6 @@ class MacroConfig:
             dac=kwargs.pop("dac", DacConfig(v_unit=V_UNIT[fmt])),
             adc=kwargs.pop("adc", AdcConfig.for_format(fmt)),
             device=device if device is not None else DeviceModel(),
-            latency=kwargs.pop("latency", LATENCY[fmt]),
             **kwargs,
         )
 
@@ -110,7 +116,8 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
               signs: np.ndarray | None = None, readout: str = "adc") -> MacroResult:
     """One macro MAC: codes in, per-column converted differential results out.
 
-    ``input_bits`` is (rows,) or (rows, n) of 7-bit patterns.  Rows with a
+    ``input_bits`` is (rows,) or (rows, n) of integer 7-bit patterns, and
+    ``signs``, if given, a boolean array of the same shape.  Rows with a
     set sign bit contribute through the complementary column of each
     differential pair (two-phase input scheme).  ``readout`` selects the
     column converter: the adaptive FP ADC, the fixed-range INT8 baseline,
@@ -119,6 +126,13 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     if readout not in READOUTS:
         raise ContractError(f"unknown readout {readout!r}")
     bits = np.asarray(input_bits)
+    if not np.issubdtype(bits.dtype, np.integer):
+        raise ContractError(f"input codes must have an integer dtype, not {bits.dtype}")
+    if signs is not None:
+        signs = np.asarray(signs, dtype=bool)
+        if signs.shape != bits.shape:
+            raise ContractError(f"signs {signs.shape} do not match input codes {bits.shape}")
+        signs = signs.reshape(bits.shape[0], -1)
     single = bits.ndim == 1
     bits = bits.reshape(bits.shape[0], -1)
     if bits.shape[0] != config.rows or weights.shape[0] != config.rows:
@@ -126,17 +140,11 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     if weights.shape[1] > config.cols:
         raise ContractError(f"macro has {config.cols} column pairs")
 
-    dec = fpcodec.decode_bits(bits, config.fmt)
-    s = scale_chain(config)
-
-    if signs is not None:
-        signs = np.asarray(signs, dtype=bool).reshape(bits.shape[0], -1)
-
     if readout == "identity":
-        levels = _levels_from_pair(weights, config.device)
+        dec = fpcodec.decode_bits(bits, config.fmt)
         if signs is not None:
             dec = np.where(signs, -dec, dec)
-        digital = dec.T @ levels
+        digital = ideal_reference(dec, _levels_from_pair(weights, config.device))
         zeros = np.zeros(digital.shape, dtype=bool)
         out = MacroResult(None, None, digital, zeros, zeros)
         return _squeeze_result(out, single)
@@ -151,27 +159,20 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
         i_pos = v_fwd.T @ weights.g_pos + v_rev.T @ weights.g_neg
         i_neg = v_fwd.T @ weights.g_neg + v_rev.T @ weights.g_pos
 
-    if readout == "adc":
-        pos_bits, under_p, sat_p, _ = convert_analytic_array(i_pos, config.adc, config.fmt)
-        neg_bits, under_n, sat_n, _ = convert_analytic_array(i_neg, config.adc, config.fmt)
-        dec_pos = fpcodec.decode_bits(pos_bits, config.fmt)
-        dec_neg = fpcodec.decode_bits(neg_bits, config.fmt)
-        digital = (dec_pos - dec_neg) * (config.adc.v_mid / s)
-        out = MacroResult(pos_bits, neg_bits, digital, under_p & under_n, sat_p | sat_n)
-        return _squeeze_result(out, single)
-
-    # Fixed-range INT8 baseline readout: 256 uniform steps over x in [0, 16).
-    full_scale = 2.0 ** (E2M5.exp_max + 1)
-    lsb = full_scale / 256.0
-    x_pos = i_pos * (config.adc.t_int / (config.adc.c_int * config.adc.v_mid))
-    x_neg = i_neg * (config.adc.t_int / (config.adc.c_int * config.adc.v_mid))
-    code_pos = np.clip(np.ceil(x_pos / lsb), 0, 255)
-    code_neg = np.clip(np.ceil(x_neg / lsb), 0, 255)
-    digital = (code_pos - code_neg) * (lsb * config.adc.v_mid / s)
-    sat = (x_pos >= full_scale) | (x_neg >= full_scale)
-    under = (code_pos == 0) & (code_neg == 0)
-    out = MacroResult(code_pos.astype(np.uint8), code_neg.astype(np.uint8), digital, under, sat)
+    pos_bits, x_pos, under_p, sat_p = _convert(readout, i_pos, config)
+    neg_bits, x_neg, under_n, sat_n = _convert(readout, i_neg, config)
+    digital = (x_pos - x_neg) * (config.adc.v_mid / scale_chain(config))
+    out = MacroResult(pos_bits, neg_bits, digital, under_p & under_n, sat_p | sat_n)
     return _squeeze_result(out, single)
+
+
+def _convert(readout: str, currents: np.ndarray, config: MacroConfig):
+    """Convert one column of each pair: (codes, their x values, underflow, saturated)."""
+    if readout == "adc":
+        codes, underflow, saturated, _ = convert_analytic_array(currents, config.adc, config.fmt)
+        return codes, fpcodec.decode_bits(codes, config.fmt), underflow, saturated
+    codes, underflow, saturated = int8_baseline_convert(currents, config.adc)
+    return codes, codes * INT8_LSB, underflow, saturated
 
 
 def _squeeze_result(r: MacroResult, single: bool) -> MacroResult:

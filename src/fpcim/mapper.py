@@ -2,8 +2,9 @@
 
 A conv kernel ``(c2, c1, k, k)`` is viewed as a 2D matrix of shape
 ``(c1*k*k, c2)`` (one column per output channel); FC weights map the same
-way.  Matrices larger than one 576x256 macro are split into row and
-column tiles; row-split tiles produce partial sums that are added
+way.  Matrices larger than one macro (``xbar.MAX_ROWS`` x
+``xbar.MAX_COLS``, 576x256, the only macro geometry) are split into row
+and column tiles; row-split tiles produce partial sums that are added
 digitally, so the tiles of one column block form a partial-sum group and
 must share a weight scale.  The group sum is scaled back to real weight
 units once, after the raw digital accumulation.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .cimmacro import MacroConfig, macro_mac
 from .errors import ContractError
-from .xbar import ConductancePair, program_weights
+from .xbar import MAX_COLS, MAX_ROWS, ConductancePair, program_weights
 
 __all__ = [
     "LayerSpec",
@@ -82,8 +83,7 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class Tile:
-    id: int
-    macro_id: int
+    id: int  # also the id of the macro the tile is programmed on
     row_start: int
     row_stop: int
     col_start: int
@@ -102,10 +102,7 @@ class Tile:
 class TilePlan:
     rows: int
     cols: int
-    macro_rows: int
-    macro_cols: int
     tiles: list[Tile] = field(default_factory=list)
-    partial_sum_groups: list[list[int]] = field(default_factory=list)
 
     def col_blocks(self) -> list[list[Tile]]:
         """Tiles grouped by column range, row blocks in order."""
@@ -114,15 +111,17 @@ class TilePlan:
             blocks.setdefault((t.col_start, t.col_stop), []).append(t)
         return [sorted(v, key=lambda t: t.row_start) for _, v in sorted(blocks.items())]
 
+    @property
+    def partial_sum_groups(self) -> list[list[int]]:
+        """Tile ids of every column block split over more than one row block."""
+        return [[t.id for t in block] for block in self.col_blocks() if len(block) > 1]
+
     def to_json(self) -> str:
         return json.dumps(
             {
                 "rows": self.rows,
                 "cols": self.cols,
-                "macro_rows": self.macro_rows,
-                "macro_cols": self.macro_cols,
                 "tiles": [dataclasses.asdict(t) for t in self.tiles],
-                "partial_sum_groups": self.partial_sum_groups,
             },
             indent=2,
             sort_keys=True,
@@ -131,57 +130,43 @@ class TilePlan:
     @classmethod
     def from_json(cls, text: str) -> "TilePlan":
         d = json.loads(text)
-        return cls(
-            rows=d["rows"],
-            cols=d["cols"],
-            macro_rows=d["macro_rows"],
-            macro_cols=d["macro_cols"],
-            tiles=[Tile(**t) for t in d["tiles"]],
-            partial_sum_groups=[list(g) for g in d["partial_sum_groups"]],
-        )
+        return cls(rows=d["rows"], cols=d["cols"], tiles=[Tile(**t) for t in d["tiles"]])
 
 
-def map_matrix(rows: int, cols: int, macro_rows: int = 576, macro_cols: int = 256) -> TilePlan:
+def map_matrix(rows: int, cols: int) -> TilePlan:
     """Partition a (rows, cols) matrix into macro-sized tiles.
 
-    Row-split tiles of one column block are registered as a partial-sum
-    group; plans that fit in a single row of macros have no groups.
+    Tile ids run over the column blocks in order, and over the row blocks
+    within one; plans that fit in a single row of macros have no
+    partial-sum groups.
     """
     if rows < 1 or cols < 1:
         raise ContractError("matrix dimensions must be >= 1")
-    n_row = math.ceil(rows / macro_rows)
-    n_col = math.ceil(cols / macro_cols)
-    plan = TilePlan(rows, cols, macro_rows, macro_cols)
-    for cb in range(n_col):
-        group = []
-        for rb in range(n_row):
-            tid = len(plan.tiles)
+    plan = TilePlan(rows, cols)
+    for cb in range(math.ceil(cols / MAX_COLS)):
+        for rb in range(math.ceil(rows / MAX_ROWS)):
             plan.tiles.append(
                 Tile(
-                    id=tid,
-                    macro_id=tid,
-                    row_start=rb * macro_rows,
-                    row_stop=min((rb + 1) * macro_rows, rows),
-                    col_start=cb * macro_cols,
-                    col_stop=min((cb + 1) * macro_cols, cols),
+                    id=len(plan.tiles),
+                    row_start=rb * MAX_ROWS,
+                    row_stop=min((rb + 1) * MAX_ROWS, rows),
+                    col_start=cb * MAX_COLS,
+                    col_stop=min((cb + 1) * MAX_COLS, cols),
                 )
             )
-            group.append(tid)
-        if len(group) > 1:
-            plan.partial_sum_groups.append(group)
     return plan
 
 
-def map_conv(layer: LayerSpec, macro_rows: int = 576, macro_cols: int = 256) -> TilePlan:
+def map_conv(layer: LayerSpec) -> TilePlan:
     if layer.kind != "conv":
         raise ContractError("map_conv requires a conv layer")
-    return map_matrix(*layer.matrix_shape, macro_rows, macro_cols)
+    return map_matrix(*layer.matrix_shape)
 
 
-def map_fc(layer: LayerSpec, macro_rows: int = 576, macro_cols: int = 256) -> TilePlan:
+def map_fc(layer: LayerSpec) -> TilePlan:
     if layer.kind != "fc":
         raise ContractError("map_fc requires an fc layer")
-    return map_matrix(*layer.matrix_shape, macro_rows, macro_cols)
+    return map_matrix(*layer.matrix_shape)
 
 
 def conv_output_shape(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
@@ -295,17 +280,21 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
                  signs: np.ndarray | None = None, readout: str = "adc") -> PlanResult:
     """Run every tile and reduce partial sums digitally.
 
-    ``input_bits`` covers all matrix rows, (rows,) or (rows, n).  Raw
-    per-tile dot products of one column block are summed in double
-    precision and scaled back by the block's weight scale once.
+    ``input_bits`` covers all matrix rows, (rows,) or (rows, n), and
+    ``signs``, if given, is an array-like of the same shape.  Raw per-tile
+    dot products of one column block are summed in double precision and
+    scaled back by the block's weight scale once.
     """
     bits = np.asarray(input_bits)
+    if signs is not None:
+        signs = np.asarray(signs, dtype=bool)
+        if signs.shape != bits.shape:
+            raise ContractError(f"signs {signs.shape} do not match input codes {bits.shape}")
+        signs = signs.reshape(bits.shape[0], -1)
     single = bits.ndim == 1
     bits = bits.reshape(bits.shape[0], -1)
     if bits.shape[0] != plan.rows:
         raise ContractError(f"plan expects {plan.rows} input rows, got {bits.shape[0]}")
-    if signs is not None:
-        signs = np.asarray(signs).reshape(signs.shape[0], -1)
 
     n = bits.shape[1]
     out = np.empty((n, plan.cols))

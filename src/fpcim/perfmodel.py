@@ -17,8 +17,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .adc import LATENCY_NS
 from .cimmacro import MacroConfig
 from .errors import ConfigError
+from .xbar import MAX_COLS, MAX_ROWS
 
 __all__ = [
     "BlockPowers",
@@ -32,16 +34,10 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "DEFAULT_PARAMS",
+    "LATENCY_NS",
 ]
 
-MACRO_ROWS = 576
-MACRO_COLS = 256
 OPS_PER_MAC = 2
-
-# Conversion windows in integer nanoseconds so published ratios are exact.
-FP_CONVERSION_NS = 200
-E3M4_CONVERSION_NS = 150
-INT8_CONVERSION_NS = 500
 
 # Calibration anchors.
 _E2M5_EFFICIENCY = 19.89e12  # ops/J at the E2M5 design point
@@ -83,8 +79,8 @@ def _default_blocks() -> dict[str, BlockPowers]:
     published reduction, the remaining blocks are plausible fills with the
     digital share taking the residue.
     """
-    e2m5_total = throughput_from(MACRO_ROWS, MACRO_COLS, FP_CONVERSION_NS * 1e-9) / _E2M5_EFFICIENCY
-    e3m4_total = throughput_from(MACRO_ROWS, MACRO_COLS, E3M4_CONVERSION_NS * 1e-9) / _E3M4_EFFICIENCY
+    e2m5_total = throughput_from(MAX_ROWS, MAX_COLS, LATENCY_NS["E2M5"] * 1e-9) / _E2M5_EFFICIENCY
+    e3m4_total = throughput_from(MAX_ROWS, MAX_COLS, LATENCY_NS["E3M4"] * 1e-9) / _E3M4_EFFICIENCY
     int8_total = e2m5_total / (1.0 - TOTAL_POWER_REDUCTION)
     int8_adc = 88e-3
     e2m5_adc = int8_adc * (1.0 - ADC_POWER_REDUCTION)
@@ -114,8 +110,6 @@ class EnergyParams:
 
 
 DEFAULT_PARAMS = EnergyParams(_default_blocks())
-
-LATENCY_NS = {"E2M5": FP_CONVERSION_NS, "E3M4": E3M4_CONVERSION_NS, "INT8": INT8_CONVERSION_NS}
 
 
 @dataclass
@@ -149,10 +143,10 @@ def adc_comparison(params: EnergyParams = DEFAULT_PARAMS, label: str = "E2M5") -
     readout to add two bits at the same LSB, stretching the conversion
     from 200 ns to 500 ns; the ADC power saving is a calibrated parameter.
     """
-    time_ratio = Fraction(INT8_CONVERSION_NS, LATENCY_NS[label])
+    time_ratio = Fraction(LATENCY_NS["INT8"], LATENCY_NS[label])
     return {
         "fp_conversion_ns": LATENCY_NS[label],
-        "int8_conversion_ns": INT8_CONVERSION_NS,
+        "int8_conversion_ns": LATENCY_NS["INT8"],
         "time_ratio": float(time_ratio),
         "int8_ramp_factor": 4,
         "adc_power_ratio": params.blocks[label].adc / params.blocks["INT8"].adc,
@@ -161,7 +155,7 @@ def adc_comparison(params: EnergyParams = DEFAULT_PARAMS, label: str = "E2M5") -
 
 
 def total_comparison(params: EnergyParams = DEFAULT_PARAMS,
-                     rows: int = MACRO_ROWS, cols: int = MACRO_COLS) -> list[PerfReport]:
+                     rows: int = MAX_ROWS, cols: int = MAX_COLS) -> list[PerfReport]:
     """Three-format macro comparison table (E2M5, E3M4, INT8)."""
     out = []
     for label in ("E2M5", "E3M4", "INT8"):

@@ -31,6 +31,7 @@ __all__ = [
     "import_conductance_csv",
 ]
 
+# Macro geometry: rows (wordlines) by differential column pairs.
 MAX_ROWS = 576
 MAX_COLS = 256
 
@@ -107,6 +108,8 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
     drawn from the given seed, clamped back into [g_min, g_max].
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
+    if not np.all(np.isfinite(w)):
+        raise ContractError("weights must be finite")
     if np.max(np.abs(w), initial=0.0) > 1.0:
         raise ContractError("weight magnitudes must be pre-scaled to [0, 1]")
 

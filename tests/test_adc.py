@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpcim.adc import (
-    FP_CONVERSION_TIME,
-    INT8_CONVERSION_TIME,
+    LATENCY_NS,
     AdcConfig,
     charge_share,
     convert_analytic,
@@ -278,20 +277,20 @@ def test_format_config_mismatch_rejected():
 # ---------------------------------------------------------------- int8 baseline
 
 def test_int8_conversion_time_ratio():
-    c = int8_baseline_convert(1e-6, CFG)
-    assert c.conversion_time / FP_CONVERSION_TIME == 2.5
-    assert INT8_CONVERSION_TIME == 500e-9
+    assert LATENCY_NS["INT8"] / LATENCY_NS["E2M5"] == 2.5
+    assert LATENCY_NS["INT8"] / 1e9 == 500e-9
 
 
 def test_int8_zero_current():
-    assert int8_baseline_convert(0.0, CFG).code == 0
+    code, underflow, saturated = int8_baseline_convert(0.0, CFG)
+    assert code == 0 and underflow and not saturated
 
 
 def test_int8_monotone_over_sweep():
     rng = np.random.default_rng(11)
     currents = np.sort(rng.uniform(0, 20e-6, 10_000))
-    codes = [int8_baseline_convert(float(i), CFG).code for i in currents]
-    assert all(a <= b for a, b in zip(codes, codes[1:]))
+    codes = int8_baseline_convert(currents, CFG)[0].astype(int)
+    assert np.all(np.diff(codes) >= 0)
 
 
 # ---------------------------------------------------------------- trace io
@@ -308,9 +307,12 @@ def test_trace_csv(tmp_path):
 
 
 def test_config_validation():
+    # the midpoint and the doubling bank are derived, not set
+    assert AdcConfig(v_th=3.0).v_mid == 1.5
+    assert AdcConfig(exp_max=2).cap_bank == (100e-15, 100e-15, 200e-15)
     with pytest.raises(ContractError):
-        AdcConfig(v_th=2.0, v_mid=0.8)  # not the midpoint
+        AdcConfig(v_th=0.0)
     with pytest.raises(ContractError):
-        AdcConfig(cap_bank=(100e-15, 100e-15, 100e-15), c_int=100e-15)  # not doubling
+        AdcConfig(exp_max=-1)
     with pytest.raises(ContractError):
         AdcConfig(t_int=0.0)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fpcim.adc import AdcConfig, convert_analytic
+from fpcim.adc import AdcConfig, convert_analytic, int8_baseline_convert
 from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
-from fpcim.dac import DacConfig, dac_convert
+from fpcim.dac import DacConfig, dac_convert, dac_convert_bits
 from fpcim.errors import ContractError, DacSaturationError
 from fpcim.fpcodec import E2M5, E3M4, FpCode, decode, decode_bits
 from fpcim.xbar import DeviceModel, mac_currents, program_weights, weight_levels
@@ -188,3 +188,33 @@ def test_e3m4_macro_config():
     bits = np.full(4, (3 << 4) | 2, dtype=np.uint8)
     res = macro_mac(bits, weights, cfg)
     assert res.digital_values.shape == (2,)
+
+
+def test_int8_readout_matches_baseline_converter():
+    # every code against every level, on both columns of a pair: the INT8
+    # readout is the baseline converter applied to the column currents
+    cfg = small_config(1, 30, g_min=0.0)
+    levels = np.arange(1, 16) / 15
+    weights = program_weights(np.concatenate([levels, -levels])[None, :], cfg.device)
+    bits = np.arange(128, dtype=np.uint8)[None, :]
+    res = macro_mac(bits, weights, cfg, readout="int8")
+
+    volts = dac_convert_bits(bits, cfg.fmt, cfg.dac)
+    pos, under_p, sat_p = int8_baseline_convert(mac_currents(volts, weights.g_pos), cfg.adc)
+    neg, under_n, sat_n = int8_baseline_convert(mac_currents(volts, weights.g_neg), cfg.adc)
+    np.testing.assert_array_equal(res.pos_bits, pos)
+    np.testing.assert_array_equal(res.neg_bits, neg)
+    np.testing.assert_array_equal(res.underflow, under_p & under_n)
+    np.testing.assert_array_equal(res.saturated, sat_p | sat_n)
+
+
+def test_non_integer_codes_rejected():
+    cfg = small_config(4, 2)
+    weights = program_weights(np.zeros((4, 2)), cfg.device)
+    with pytest.raises(ContractError):
+        macro_mac(np.full(4, 3.7), weights, cfg)
+
+
+def test_format_adc_mismatch_rejected_at_construction():
+    with pytest.raises(ContractError):
+        MacroConfig(fmt=E3M4, dac=DacConfig(v_unit=0.01))  # default ADC is E2M5

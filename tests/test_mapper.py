@@ -175,7 +175,7 @@ def test_row_split_identity_readout_is_lossless():
     rows, cols = 700, 5  # two row tiles
     cfg = MacroConfig(rows=576, cols=cols, device=ideal_device())
     w = rng.uniform(-1, 1, (rows, cols))
-    plan = map_matrix(rows, cols, 576, 256)
+    plan = map_matrix(rows, cols)
     levels = weight_levels(w, cfg.device)
     # treat the signed levels as the weight matrix; dividing by the level
     # range normalizes them back to [-1, 1] and the group scale cancels
@@ -233,3 +233,29 @@ def test_layer_spec_validation():
         LayerSpec("pool")
     with pytest.raises(ContractError):
         map_conv(LayerSpec.fc(4, 4))
+
+
+def test_execute_plan_accepts_array_like_signs():
+    cfg = MacroConfig(rows=4, cols=2, device=ideal_device())
+    plan = map_matrix(4, 2)
+    bank = MacroBank.build(plan, np.ones((4, 2)), cfg)
+    bits = np.full(4, 0b0100000, dtype=np.uint8)  # 2.0 each
+    signs = [False, True, False, True]
+    res = execute_plan(plan, bits, bank, signs=signs, readout="identity")
+    np.testing.assert_array_equal(res.values, [0.0, 0.0])
+    ref = execute_plan(plan, bits, bank, signs=np.array(signs), readout="identity")
+    np.testing.assert_array_equal(res.values, ref.values)
+
+
+def test_signs_shape_must_match_codes():
+    from fpcim.cimmacro import macro_mac
+
+    cfg = MacroConfig(rows=4, cols=2, device=ideal_device())
+    plan = map_matrix(4, 2)
+    bank = MacroBank.build(plan, np.ones((4, 2)), cfg)
+    bits = np.zeros((4, 3), dtype=np.uint8)
+    signs = np.zeros(4, dtype=bool)  # one sign per row, not per code
+    with pytest.raises(ContractError):
+        execute_plan(plan, bits, bank, signs=signs)
+    with pytest.raises(ContractError):
+        macro_mac(bits, bank[0].pair, bank[0].config, signs=signs)

@@ -157,3 +157,11 @@ def test_device_model_validation():
 def test_oversize_tile_rejected():
     with pytest.raises(ContractError):
         program_weights(np.zeros((577, 1)), NOISELESS)
+
+
+def test_non_finite_weights_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.zeros((2, 2))
+        w[0, 1] = bad
+        with pytest.raises(ContractError):
+            program_weights(w, NOISELESS)
