@@ -104,10 +104,21 @@ class AdcConfig:
         """[C, C, 2C, 4C, ...]: one doubling capacitor per exponent step."""
         return (self.c_int,) + tuple(self.c_int * 2.0**k for k in range(self.exp_max))
 
+    @property
+    def x_sat(self) -> float:
+        """Smallest saturating x, 2^(exp_max+1): ``floor(log2 x) > exp_max`` for finite x."""
+        return 2.0 ** (self.exp_max + 1)
 
-def adc_x(i_mac, config: AdcConfig):
-    """Converter input ``x = i * t_int / (c_int * v_mid)``; x = 1 integrates to v_mid."""
-    return i_mac * config.t_int / (config.c_int * config.v_mid)
+
+def adc_x(i_mac, config: AdcConfig) -> np.ndarray:
+    """Converter input ``x = i * t_int / (c_int * v_mid)``; x = 1 integrates to v_mid.
+
+    NaN or negative currents raise; +inf gives x = inf, which saturates.
+    """
+    i = np.asarray(i_mac, dtype=float)
+    if i.size and not np.min(i) >= 0:  # np.min propagates NaN
+        raise ContractError("MAC currents must be non-negative and not NaN")
+    return i * config.t_int / (config.c_int * config.v_mid)
 
 
 @dataclass
@@ -165,21 +176,19 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> A
     """Closed-form conversion of a constant current (no trace).
 
     With ``x = i_mac * t_int / (c_int * v_mid)``: x < 1 underflows to the
-    zero code, ``floor(log2 x)`` beyond the bank saturates to the top
-    code, otherwise the exponent is ``floor(log2 x)`` and the mantissa the
-    single-slope ceiling of the residue ``v_mid * x / 2^e``.
+    zero code, ``floor(log2 x)`` beyond the bank (+inf included) saturates
+    to the top code, otherwise the exponent is ``floor(log2 x)`` and the
+    mantissa the single-slope ceiling of the residue ``v_mid * x / 2^e``.
     """
-    if i_mac < 0:
-        raise ContractError("negative MAC current")
     check_format(config, fmt)
-    x = adc_x(i_mac, config)
+    x = float(adc_x(i_mac, config))
     if x < 1.0:
         return AdcResult(FpCode(0, 0, fmt), v_m=x * config.v_mid, underflow=True)
-    e = math.frexp(x)[1] - 1  # exact binade, no log rounding at the edges
-    if e > config.exp_max:
+    if x >= config.x_sat:
         return AdcResult(
             FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt), v_m=config.v_th, saturated=True
         )
+    e = math.frexp(x)[1] - 1  # exact binade, no log rounding at the edges
     v_m = config.v_mid * (x / 2.0**e)
     return AdcResult(FpCode(e, single_slope(v_m, config), fmt), v_m=v_m)
 
@@ -189,16 +198,13 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat =
 
     Returns (code_bits uint8, underflow, saturated, v_m) arrays.
     """
-    i = np.asarray(i_mac, dtype=float)
-    if i.size and np.min(i) < 0:
-        raise ContractError("negative MAC current")
     check_format(config, fmt)
-    x = adc_x(i, config)
+    x = adc_x(i_mac, config)
     underflow = x < 1.0
-    mant_frac, expo = np.frexp(np.maximum(x, 1.0))
+    saturated = x >= config.x_sat
+    # Clipping keeps +inf out of frexp; saturated entries are replaced below.
+    mant_frac, expo = np.frexp(np.clip(x, 1.0, config.x_sat))
     e = expo - 1  # x = mant_frac * 2^expo with mant_frac in [0.5, 1)
-    saturated = e > config.exp_max
-    e = np.clip(e, 0, config.exp_max)
     v_m = config.v_mid * (2.0 * mant_frac)  # x / 2^e in [1, 2) scaled to volts
     step = (config.v_th - config.v_mid) / config.ramp_steps
     mant = np.ceil((v_m - config.v_mid) / step).astype(int)
@@ -221,8 +227,8 @@ def _current_segments(i_of_t, t_int: float) -> list[tuple[float, float, float]]:
         times = [t for t, _ in steps]
         if sorted(times) != times:
             raise ContractError("waveform steps must be time-ordered")
-    if any(i < 0 for _, i in steps):
-        raise ContractError("negative MAC current")
+    if not all(i >= 0 for _, i in steps):
+        raise ContractError("MAC currents must be non-negative and not NaN")
     segments = []
     for idx, (t0, i) in enumerate(steps):
         t1 = steps[idx + 1][0] if idx + 1 < len(steps) else t_int
@@ -296,12 +302,9 @@ def int8_baseline_convert(i_mac, config: AdcConfig):
     counter semantics; the fixed range costs a 4x longer ramp on the
     100 ns readout (``LATENCY_NS``).  Returns (codes uint8, underflow,
     saturated) arrays shaped like ``i_mac``: the zero code underflows, and
-    x at or beyond the full scale saturates.
+    x at or beyond the full scale (+inf included) saturates.
     """
-    i = np.asarray(i_mac, dtype=float)
-    if i.size and np.min(i) < 0:
-        raise ContractError("negative MAC current")
-    x = adc_x(i, config)
+    x = adc_x(i_mac, config)
     codes = np.clip(np.ceil(x / INT8_LSB), 0, 255)
     return codes.astype(np.uint8), codes == 0, x >= INT8_FULL_SCALE
 

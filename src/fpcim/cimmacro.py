@@ -1,12 +1,14 @@
 """One compute-in-memory macro: row DACs, differential crossbar, column ADCs.
 
-A macro MAC drives up to ``xbar.MAX_ROWS`` (576) row voltages from 7-bit
-input codes and collects the differential currents of up to
-``xbar.MAX_COLS`` (256) column pairs.  Both columns of a pair go through
-the same converter, the adaptive FP-ADC (``readout="adc"``) or the
-fixed-range INT8 baseline (``"int8"``); each converted code is read back
-as its x value and the two are subtracted digitally in double precision,
-so the converter never sees a signed value.  ``"identity"`` bypasses the
+A macro MAC drives one row voltage per row of the programmed
+``ConductancePair`` from 7-bit input codes and collects the differential
+currents of its column pairs: the pair's shape, at most ``xbar.MAX_ROWS``
+x ``xbar.MAX_COLS`` (576x256), is the tile's geometry, and ``MacroConfig``
+holds only what the tiles of a bank share.  Both columns of a pair go
+through the same converter, the adaptive FP-ADC (``readout="adc"``) or the
+fixed-range INT8 baseline (``"int8"``); each converted code is read back as
+its x value and the two are subtracted digitally in double precision, so
+the converter never sees a signed value.  ``"identity"`` bypasses the
 analog chain and returns the exact dot product.
 
 The digital result is reported in dimensionless dot-product units
@@ -30,7 +32,7 @@ from .adc import INT8_LSB, LATENCY_NS, AdcConfig, convert_analytic_array, int8_b
 from .dac import DacConfig, dac_convert_bits
 from .errors import ContractError
 from .fpcodec import E2M5, E3M4, FpFormat
-from .xbar import MAX_COLS, MAX_ROWS, ConductancePair, DeviceModel
+from .xbar import ConductancePair, DeviceModel
 
 __all__ = [
     "MacroConfig",
@@ -38,6 +40,7 @@ __all__ = [
     "scale_chain",
     "macro_mac",
     "ideal_reference",
+    "batch_inputs",
     "READOUTS",
 ]
 
@@ -49,16 +52,12 @@ V_UNIT = {E2M5: 0.1, E3M4: 0.01}
 
 @dataclass(frozen=True)
 class MacroConfig:
-    rows: int = MAX_ROWS
-    cols: int = MAX_COLS
     fmt: FpFormat = E2M5
     dac: DacConfig = field(default_factory=DacConfig)
     adc: AdcConfig = field(default_factory=AdcConfig)
     device: DeviceModel = field(default_factory=DeviceModel)
 
     def __post_init__(self):
-        if not (1 <= self.rows <= MAX_ROWS and 1 <= self.cols <= MAX_COLS):
-            raise ContractError(f"macro dimensions limited to {MAX_ROWS}x{MAX_COLS}")
         adc_mod.check_format(self.adc, self.fmt)
         if self.latency <= self.adc.t_int:
             raise ContractError("macro latency must exceed the ADC integration window")
@@ -70,17 +69,9 @@ class MacroConfig:
         return LATENCY_NS[self.fmt.name] / 1e9
 
     @classmethod
-    def for_format(cls, fmt: FpFormat, rows: int = MAX_ROWS, cols: int = MAX_COLS,
-                   device: DeviceModel | None = None, **kwargs) -> "MacroConfig":
-        return cls(
-            rows=rows,
-            cols=cols,
-            fmt=fmt,
-            dac=kwargs.pop("dac", DacConfig(v_unit=V_UNIT[fmt])),
-            adc=kwargs.pop("adc", AdcConfig.for_format(fmt)),
-            device=device if device is not None else DeviceModel(),
-            **kwargs,
-        )
+    def for_format(cls, fmt: FpFormat, device: DeviceModel | None = None) -> "MacroConfig":
+        return cls(fmt, DacConfig(v_unit=V_UNIT[fmt]), AdcConfig.for_format(fmt),
+                   device if device is not None else DeviceModel())
 
 
 @dataclass
@@ -112,19 +103,9 @@ def _levels_from_pair(weights: ConductancePair, device: DeviceModel) -> np.ndarr
     return np.rint(raw)
 
 
-def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroConfig,
-              signs: np.ndarray | None = None, readout: str = "adc") -> MacroResult:
-    """One macro MAC: codes in, per-column converted differential results out.
-
-    ``input_bits`` is (rows,) or (rows, n) of integer 7-bit patterns, and
-    ``signs``, if given, a boolean array of the same shape.  Rows with a
-    set sign bit contribute through the complementary column of each
-    differential pair (two-phase input scheme).  ``readout`` selects the
-    column converter: the adaptive FP ADC, the fixed-range INT8 baseline,
-    or an identity bypass that returns the digital dot product directly.
-    """
-    if readout not in READOUTS:
-        raise ContractError(f"unknown readout {readout!r}")
+def batch_inputs(input_bits, signs=None):
+    """(codes, signs or None, single): integer codes and bool signs of the
+    same shape as (rows, n) batches, and whether the input was one vector."""
     bits = np.asarray(input_bits)
     if not np.issubdtype(bits.dtype, np.integer):
         raise ContractError(f"input codes must have an integer dtype, not {bits.dtype}")
@@ -133,12 +114,26 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
         if signs.shape != bits.shape:
             raise ContractError(f"signs {signs.shape} do not match input codes {bits.shape}")
         signs = signs.reshape(bits.shape[0], -1)
-    single = bits.ndim == 1
-    bits = bits.reshape(bits.shape[0], -1)
-    if bits.shape[0] != config.rows or weights.shape[0] != config.rows:
-        raise ContractError(f"macro expects {config.rows} input rows")
-    if weights.shape[1] > config.cols:
-        raise ContractError(f"macro has {config.cols} column pairs")
+    return bits.reshape(bits.shape[0], -1), signs, bits.ndim == 1
+
+
+def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroConfig,
+              signs: np.ndarray | None = None, readout: str = "adc") -> MacroResult:
+    """One macro MAC: codes in, per-column converted differential results out.
+
+    ``input_bits`` is (rows,) or (rows, n) of integer 7-bit patterns, one
+    row per row of ``weights``, and ``signs``, if given, a boolean array of
+    the same shape.  Rows with a set sign bit contribute through the
+    complementary column of each differential pair (two-phase input
+    scheme).  ``readout`` selects the column converter: the adaptive FP
+    ADC, the fixed-range INT8 baseline, or an identity bypass that returns
+    the digital dot product directly.
+    """
+    if readout not in READOUTS:
+        raise ContractError(f"unknown readout {readout!r}")
+    bits, signs, single = batch_inputs(input_bits, signs)
+    if bits.shape[0] != weights.shape[0]:
+        raise ContractError(f"{bits.shape[0]} input rows for a {weights.shape[0]}-row macro")
 
     if readout == "identity":
         dec = fpcodec.decode_bits(bits, config.fmt)

@@ -223,14 +223,11 @@ def encode_values(values: np.ndarray, fmt: FpFormat = E2M5, mode: str = "nearest
 
 
 def decode_bits(bits: np.ndarray, fmt: FpFormat = E2M5) -> np.ndarray:
-    """Vectorized decode of 7-bit code patterns."""
+    """Vectorized decode of 7-bit code patterns through the ``all_values`` table."""
     b = np.asarray(bits, dtype=np.int64)
     if b.size and (b.min() < 0 or b.max() >= (1 << CODE_BITS)):
         raise ContractError("code bits out of 7-bit range")
-    e = b >> fmt.mantissa_bits
-    m = b & (fmt.mant_levels - 1)
-    vals = (1.0 + m / fmt.mant_levels) * np.exp2(e)
-    return np.where(b == 0, 0.0, vals)
+    return all_values(fmt)[b]
 
 
 class QuantResult(NamedTuple):

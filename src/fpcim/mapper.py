@@ -4,10 +4,12 @@ A conv kernel ``(c2, c1, k, k)`` is viewed as a 2D matrix of shape
 ``(c1*k*k, c2)`` (one column per output channel); FC weights map the same
 way.  Matrices larger than one macro (``xbar.MAX_ROWS`` x
 ``xbar.MAX_COLS``, 576x256, the only macro geometry) are split into row
-and column tiles; row-split tiles produce partial sums that are added
-digitally, so the tiles of one column block form a partial-sum group and
-must share a weight scale.  The group sum is scaled back to real weight
-units once, after the raw digital accumulation.
+and column tiles.  A tile's shape comes from the plan and lives on its
+programmed ``ConductancePair``; every tile of a bank shares one
+``MacroConfig``.  Row-split tiles produce partial sums that are added
+digitally, so each column block is programmed with one weight scale and its
+sum is scaled back to real weight units once, after the raw digital
+accumulation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cimmacro import MacroConfig, macro_mac
+from .cimmacro import MacroConfig, batch_inputs, macro_mac
 from .errors import ContractError
 from .xbar import MAX_COLS, MAX_ROWS, ConductancePair, program_weights
 
@@ -207,11 +209,10 @@ class ProgrammedTile:
     tile: Tile
     pair: ConductancePair
     weight_scale: float
-    config: MacroConfig
 
 
 class MacroBank:
-    """Programmed macros for one plan, keyed by tile id."""
+    """Programmed macros for one plan, keyed by tile id, sharing one config."""
 
     def __init__(self, plan: TilePlan, config: MacroConfig):
         self.plan = plan
@@ -220,48 +221,30 @@ class MacroBank:
 
     @classmethod
     def build(cls, plan: TilePlan, weights: np.ndarray, config: MacroConfig,
-              weight_scales: dict[int, float] | float | None = None, seed: int = 0) -> "MacroBank":
+              weight_scale: float | None = None, seed: int = 0) -> "MacroBank":
         """Normalize and program every tile of the weight matrix.
 
-        ``weight_scales`` maps tile id to its normalization divisor; a
-        scalar applies everywhere, None derives max-abs per column block.
-        Tiles of one partial-sum group must share a scale so their raw
-        digital outputs are summable.
+        Each column block is divided by one scale, so the raw digital
+        outputs of its row tiles are summable: ``weight_scale`` if given,
+        else the block's max-abs weight (1 for an all-zero block).  Tile
+        ``t`` is programmed with seed ``seed + t.id``.
         """
         w = np.asarray(weights, dtype=float)
         if w.shape != (plan.rows, plan.cols):
             raise ContractError(f"weight matrix {w.shape} does not match plan "
                                 f"({plan.rows}, {plan.cols})")
         bank = cls(plan, config)
-        scales = bank._resolve_scales(w, weight_scales)
-        for t in plan.tiles:
-            beta = scales[t.id]
-            block = w[t.row_start : t.row_stop, t.col_start : t.col_stop] / beta
-            pair = program_weights(block, config.device, seed=seed + t.id)
-            tile_cfg = dataclasses.replace(config, rows=t.rows, cols=t.cols)
-            bank.tiles[t.id] = ProgrammedTile(t, pair, beta, tile_cfg)
+        for block in plan.col_blocks():
+            lo, hi = block[0].col_start, block[0].col_stop
+            if weight_scale is not None:
+                beta = float(weight_scale)
+            else:
+                beta = float(np.max(np.abs(w[:, lo:hi]), initial=0.0)) or 1.0
+            for t in block:
+                pair = program_weights(w[t.row_start : t.row_stop, lo:hi] / beta,
+                                       config.device, seed=seed + t.id)
+                bank.tiles[t.id] = ProgrammedTile(t, pair, beta)
         return bank
-
-    def _resolve_scales(self, w: np.ndarray, weight_scales) -> dict[int, float]:
-        if isinstance(weight_scales, dict):
-            scales = dict(weight_scales)
-        elif weight_scales is not None:
-            scales = {t.id: float(weight_scales) for t in self.plan.tiles}
-        else:
-            scales = {}
-            for block in self.plan.col_blocks():
-                lo, hi = block[0].col_start, block[0].col_stop
-                m = float(np.max(np.abs(w[:, lo:hi]), initial=0.0))
-                for t in block:
-                    scales[t.id] = m if m > 0 else 1.0
-        for group in self.plan.partial_sum_groups:
-            vals = {scales[tid] for tid in group}
-            if len(vals) > 1:
-                raise ContractError("partial-sum group tiles must share one weight scale")
-        missing = [t.id for t in self.plan.tiles if t.id not in scales]
-        if missing:
-            raise ContractError(f"no weight scale for tiles {missing}")
-        return scales
 
     def __getitem__(self, tile_id: int) -> ProgrammedTile:
         try:
@@ -285,14 +268,7 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
     dot products of one column block are summed in double precision and
     scaled back by the block's weight scale once.
     """
-    bits = np.asarray(input_bits)
-    if signs is not None:
-        signs = np.asarray(signs, dtype=bool)
-        if signs.shape != bits.shape:
-            raise ContractError(f"signs {signs.shape} do not match input codes {bits.shape}")
-        signs = signs.reshape(bits.shape[0], -1)
-    single = bits.ndim == 1
-    bits = bits.reshape(bits.shape[0], -1)
+    bits, signs, single = batch_inputs(input_bits, signs)
     if bits.shape[0] != plan.rows:
         raise ContractError(f"plan expects {plan.rows} input rows, got {bits.shape[0]}")
 
@@ -307,9 +283,8 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
         b_sat = np.zeros((n, hi - lo), dtype=bool)
         beta = bank[block[0].id].weight_scale
         for t in block:
-            pt = bank[t.id]
             tile_signs = None if signs is None else signs[t.row_start : t.row_stop]
-            res = macro_mac(bits[t.row_start : t.row_stop], pt.pair, pt.config,
+            res = macro_mac(bits[t.row_start : t.row_stop], bank[t.id].pair, bank.config,
                             signs=tile_signs, readout=readout)
             raw += res.digital_values.reshape(n, -1)
             b_under &= res.underflow.reshape(n, -1)

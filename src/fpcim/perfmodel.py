@@ -123,7 +123,8 @@ class PerfReport:
 
 
 def throughput(config: MacroConfig) -> float:
-    return throughput_from(config.rows, config.cols, config.latency)
+    """Ops per second of a full ``MAX_ROWS`` x ``MAX_COLS`` macro at the config's latency."""
+    return throughput_from(MAX_ROWS, MAX_COLS, config.latency)
 
 
 def efficiency(config: MacroConfig, params: EnergyParams = DEFAULT_PARAMS,
@@ -154,13 +155,12 @@ def adc_comparison(params: EnergyParams = DEFAULT_PARAMS, label: str = "E2M5") -
     }
 
 
-def total_comparison(params: EnergyParams = DEFAULT_PARAMS,
-                     rows: int = MAX_ROWS, cols: int = MAX_COLS) -> list[PerfReport]:
+def total_comparison(params: EnergyParams = DEFAULT_PARAMS) -> list[PerfReport]:
     """Three-format macro comparison table (E2M5, E3M4, INT8)."""
     out = []
     for label in ("E2M5", "E3M4", "INT8"):
         latency = LATENCY_NS[label] * 1e-9
-        tp = throughput_from(rows, cols, latency)
+        tp = throughput_from(MAX_ROWS, MAX_COLS, latency)
         total = params.total(label)
         out.append(PerfReport(label, latency, tp, total, tp / total, params.blocks[label]))
     return out

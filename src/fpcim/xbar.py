@@ -14,7 +14,6 @@ Wire parasitics are not modeled.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +75,8 @@ class ConductancePair:
         if self.g_pos.shape != self.g_neg.shape or self.g_pos.ndim != 2:
             raise ContractError("g_pos and g_neg must be equal-shape 2D matrices")
         rows, cols = self.g_pos.shape
-        if rows > MAX_ROWS or cols > MAX_COLS:
-            raise ContractError(f"tile {rows}x{cols} exceeds the {MAX_ROWS}x{MAX_COLS} macro")
+        if not (1 <= rows <= MAX_ROWS and 1 <= cols <= MAX_COLS):
+            raise ContractError(f"tile {rows}x{cols} does not fit the {MAX_ROWS}x{MAX_COLS} macro")
         if np.any(self.g_pos < 0) or np.any(self.g_neg < 0):
             raise ContractError("conductances must be non-negative")
         self.g_pos.flags.writeable = False
@@ -147,13 +146,8 @@ def mac_currents(v_in: np.ndarray, g: np.ndarray, v_clamp: float = 0.0) -> np.nd
 
 def export_conductance_csv(g: np.ndarray, path) -> None:
     """Row-major conductance dump in siemens."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(g):
-            writer.writerow(f"{x:.9e}" for x in row)
+    np.savetxt(path, g, fmt="%.9e", delimiter=",", newline="\r\n")
 
 
 def import_conductance_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    return np.array(rows)
+    return np.loadtxt(path, delimiter=",", ndmin=2)

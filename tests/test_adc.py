@@ -286,6 +286,33 @@ def test_int8_zero_current():
     assert code == 0 and underflow and not saturated
 
 
+def _scalar_converter(convert):
+    def run(i):
+        r = convert(i, CFG)
+        return r.code.to_bits(), r.saturated
+    return run
+
+
+def _array_converter(convert):
+    def run(i):
+        out = convert(np.array([i]), CFG)
+        return int(out[0][0]), bool(out[2][0])
+    return run
+
+
+@pytest.mark.parametrize("convert, top", [
+    (_scalar_converter(convert_analytic), 0b1111111),
+    (_scalar_converter(simulate_transient), 0b1111111),
+    (_array_converter(convert_analytic_array), 0b1111111),
+    (_array_converter(int8_baseline_convert), 255),
+], ids=["analytic", "transient", "analytic_array", "int8"])
+def test_non_finite_currents(convert, top):
+    # NaN is rejected at the converter boundary; +inf saturates to the top code
+    with pytest.raises(ContractError):
+        convert(math.nan)
+    assert convert(math.inf) == (top, True)
+
+
 def test_int8_monotone_over_sweep():
     rng = np.random.default_rng(11)
     currents = np.sort(rng.uniform(0, 20e-6, 10_000))

@@ -1,0 +1,33 @@
+"""The benchmark in ``bench/`` drives the simulator through its public API.
+
+These tests run each workload's reference pass on one pool item and one
+traced batch, so that a rename the benchmark depends on fails here first.
+The benchmark's modules are imported as they are, without changes.
+"""
+
+import dataclasses
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import harness  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_traced_and_passes_reference(name):
+    wl = workloads.generate(name, 1)
+    wl = dataclasses.replace(wl, items=wl.items[:1])
+    with spans.Tracer() as tracer:
+        with tracer.root("setup"):
+            m = harness.set_up(wl)
+        with tracer.root("batch"):
+            harness.run_batch(m, wl.items[0], wl.readout)
+    assert tracer.missing == set()
+    assert tracer.uncounted == set()
+    assert harness.reference_pass(m).passed == [True]

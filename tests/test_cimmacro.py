@@ -9,35 +9,33 @@ from fpcim.fpcodec import E2M5, E3M4, FpCode, decode, decode_bits
 from fpcim.xbar import DeviceModel, mac_currents, program_weights, weight_levels
 
 
-def small_config(rows, cols, g_min=0.5e-6):
+def small_config(g_min=0.5e-6):
     return MacroConfig(
-        rows=rows,
-        cols=cols,
         device=DeviceModel(g_min=g_min, g_max=20e-6, levels=16, sigma_rel=0.0),
     )
 
 
 def test_scale_chain_reference_value():
-    cfg = small_config(4, 2)
+    cfg = small_config()
     # v_unit * g_lsb * t_int / c_int with g_lsb = (20 - 0.5) uS / 15
     assert cfg.device.g_lsb == pytest.approx(1.3e-6, rel=1e-12)
     assert scale_chain(cfg) == pytest.approx(0.1235, rel=1e-12)
 
 
 def test_scale_chain_linear_in_v_unit():
-    a = MacroConfig(rows=4, cols=2, dac=DacConfig(v_unit=0.05))
-    b = MacroConfig(rows=4, cols=2, dac=DacConfig(v_unit=0.1))
+    a = MacroConfig(dac=DacConfig(v_unit=0.05))
+    b = MacroConfig(dac=DacConfig(v_unit=0.1))
     assert scale_chain(b) == pytest.approx(2 * scale_chain(a), rel=1e-12)
 
 
 def test_scale_chain_inverse_in_c_int():
-    a = MacroConfig(rows=4, cols=2, adc=AdcConfig.for_format(E2M5, c_int=100e-15))
-    b = MacroConfig(rows=4, cols=2, adc=AdcConfig.for_format(E2M5, c_int=50e-15))
+    a = MacroConfig(adc=AdcConfig.for_format(E2M5, c_int=100e-15))
+    b = MacroConfig(adc=AdcConfig.for_format(E2M5, c_int=50e-15))
     assert scale_chain(b) == pytest.approx(2 * scale_chain(a), rel=1e-12)
 
 
 def test_all_zero_inputs_underflow_everywhere():
-    cfg = small_config(8, 4)
+    cfg = small_config()
     weights = program_weights(np.full((8, 4), 0.5), cfg.device)
     res = macro_mac(np.zeros(8, dtype=np.uint8), weights, cfg)
     assert np.all(res.underflow)
@@ -46,7 +44,7 @@ def test_all_zero_inputs_underflow_everywhere():
 
 def test_single_active_row_matches_explicit_chain():
     # brute force one path by hand: decode -> voltage -> current -> ADC
-    cfg = small_config(4, 1, g_min=0.0)
+    cfg = small_config(g_min=0.0)
     w = np.array([[0.0], [1.0], [0.0], [0.0]])
     weights = program_weights(w, cfg.device)
     code = FpCode.from_bit_string("1011110")  # 7.75
@@ -72,7 +70,7 @@ def test_random_macro_against_analytic_oracle():
     rng = np.random.default_rng(99)
     for trial in range(20):
         rows, cols = int(rng.integers(2, 48)), int(rng.integers(1, 16))
-        cfg = small_config(rows, cols)
+        cfg = small_config()
         w = rng.uniform(-1, 1, (rows, cols))
         # scale weights down so the largest column stays convertible
         w *= 0.9 / max(1.0, np.max(np.abs(w)))
@@ -95,7 +93,7 @@ def test_random_macro_against_analytic_oracle():
 
 def test_identity_readout_equals_ideal_reference():
     rng = np.random.default_rng(3)
-    cfg = small_config(16, 6)
+    cfg = small_config()
     w = rng.uniform(-1, 1, (16, 6))
     weights = program_weights(w, cfg.device)
     bits = rng.integers(0, 128, 16).astype(np.uint8)
@@ -127,7 +125,7 @@ def test_ideal_reference_linear():
 
 def test_column_permutation_permutes_results():
     rng = np.random.default_rng(6)
-    cfg = small_config(8, 5)
+    cfg = small_config()
     w = rng.uniform(-0.9, 0.9, (8, 5))
     bits = rng.integers(0, 128, 8).astype(np.uint8)
     perm = rng.permutation(5)
@@ -138,7 +136,7 @@ def test_column_permutation_permutes_results():
 
 
 def test_signed_inputs_flip_contribution():
-    cfg = small_config(2, 1, g_min=0.0)
+    cfg = small_config(g_min=0.0)
     w = np.array([[1.0], [1.0]])
     weights = program_weights(w, cfg.device)
     bits = np.array([0b0100000, 0b0100000], dtype=np.uint8)  # 2.0 each
@@ -150,7 +148,7 @@ def test_signed_inputs_flip_contribution():
 
 def test_batched_inputs_match_single():
     rng = np.random.default_rng(7)
-    cfg = small_config(6, 3)
+    cfg = small_config()
     weights = program_weights(rng.uniform(-0.8, 0.8, (6, 3)), cfg.device)
     batch = rng.integers(0, 128, (6, 5)).astype(np.uint8)
     res = macro_mac(batch, weights, cfg)
@@ -162,16 +160,16 @@ def test_batched_inputs_match_single():
 
 
 def test_dac_saturation_aborts():
-    cfg = MacroConfig(rows=2, cols=1, dac=DacConfig(v_unit=0.15))  # 15.75*0.15=2.3625 < 2.5 ok
+    cfg = MacroConfig(dac=DacConfig(v_unit=0.15))  # 15.75*0.15=2.3625 < 2.5 ok
     weights = program_weights(np.ones((2, 1)), cfg.device)
     bits = np.full(2, 0b1111111, dtype=np.uint8)
     macro_mac(bits, weights, cfg)  # fits
     with pytest.raises(DacSaturationError):
-        MacroConfig(rows=2, cols=1, dac=DacConfig(v_unit=0.2))  # 3.15 V > supply
+        MacroConfig(dac=DacConfig(v_unit=0.2))  # 3.15 V > supply
 
 
 def test_shape_contracts():
-    cfg = small_config(4, 2)
+    cfg = small_config()
     weights = program_weights(np.zeros((4, 2)), cfg.device)
     with pytest.raises(ContractError):
         macro_mac(np.zeros(3, dtype=np.uint8), weights, cfg)
@@ -180,7 +178,7 @@ def test_shape_contracts():
 
 
 def test_e3m4_macro_config():
-    cfg = MacroConfig.for_format(E3M4, rows=4, cols=2)
+    cfg = MacroConfig.for_format(E3M4)
     assert cfg.latency == pytest.approx(150e-9)
     assert cfg.dac.v_unit == pytest.approx(0.01)
     assert cfg.adc.ramp_steps == 16
@@ -193,7 +191,7 @@ def test_e3m4_macro_config():
 def test_int8_readout_matches_baseline_converter():
     # every code against every level, on both columns of a pair: the INT8
     # readout is the baseline converter applied to the column currents
-    cfg = small_config(1, 30, g_min=0.0)
+    cfg = small_config(g_min=0.0)
     levels = np.arange(1, 16) / 15
     weights = program_weights(np.concatenate([levels, -levels])[None, :], cfg.device)
     bits = np.arange(128, dtype=np.uint8)[None, :]
@@ -209,7 +207,7 @@ def test_int8_readout_matches_baseline_converter():
 
 
 def test_non_integer_codes_rejected():
-    cfg = small_config(4, 2)
+    cfg = small_config()
     weights = program_weights(np.zeros((4, 2)), cfg.device)
     with pytest.raises(ContractError):
         macro_mac(np.full(4, 3.7), weights, cfg)

@@ -159,6 +159,12 @@ def test_oversize_tile_rejected():
         program_weights(np.zeros((577, 1)), NOISELESS)
 
 
+def test_empty_tile_rejected():
+    for shape in ((0, 3), (3, 0)):
+        with pytest.raises(ContractError):
+            program_weights(np.zeros(shape), NOISELESS)
+
+
 def test_non_finite_weights_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         w = np.zeros((2, 2))
