@@ -17,6 +17,13 @@ conductance level of the cell, or the normalized weight for a continuous
 device).  ``scale_chain`` is the factor mapping one dot-product unit to
 the ADC's internal x value; weights must be pre-scaled so results land
 inside the convertible range.
+
+``macro_mac`` runs the DAC and the crossbar matmuls on the whole tile and
+batch, then the per-column chain after them (conversion of both columns,
+read-back, subtraction, scaling, flags) over blocks of about
+``fpcodec._BLOCK`` column results, so its temporaries stay cache-sized.
+The matmuls are not blocked: splitting their vector dimension changes how
+BLAS sums, and so the currents' last bits.
 """
 
 from __future__ import annotations
@@ -128,6 +135,11 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     scheme).  ``readout`` selects the column converter: the adaptive FP
     ADC, the fixed-range INT8 baseline, or an identity bypass that returns
     the digital dot product directly.
+
+    The DAC and the 2 (unsigned) or 4 (signed) matmuls cover the whole
+    batch; the per-column-result chain after them runs over slices of
+    ``max(1, fpcodec._BLOCK // cols)`` input vectors, so no bit depends on
+    the block.
     """
     if readout not in READOUTS:
         raise ContractError(f"unknown readout {readout!r}")
@@ -144,21 +156,39 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
         out = MacroResult(None, None, digital, zeros, zeros)
         return _squeeze_result(out, single)
 
+    i_pos, i_neg = _column_currents(bits, signs, weights, config)
+    n, cols = i_pos.shape
+    out = MacroResult(np.empty((n, cols), np.uint8), np.empty((n, cols), np.uint8),
+                      np.empty((n, cols)), np.empty((n, cols), bool), np.empty((n, cols), bool))
+    gain = config.adc.v_mid / scale_chain(config)
+    step = max(1, fpcodec._BLOCK // cols)
+    for lo in range(0, n, step):
+        vecs = slice(lo, lo + step)
+        out.pos_bits[vecs], x_pos, under_p, sat_p = _convert(readout, i_pos[vecs], config)
+        out.neg_bits[vecs], x_neg, under_n, sat_n = _convert(readout, i_neg[vecs], config)
+        digital = np.subtract(x_pos, x_neg, out=out.digital_values[vecs])
+        digital *= gain
+        np.logical_and(under_p, under_n, out=out.underflow[vecs])
+        np.logical_or(sat_p, sat_n, out=out.saturated[vecs])
+    return _squeeze_result(out, single)
+
+
+def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig):
+    """(i_pos, i_neg), each (n, cols): the DAC and the whole-tile matmuls.
+
+    The (rows, n) voltage arrays are freed on return, before the
+    conversion chain allocates.
+    """
     volts = dac_convert_bits(bits, config.fmt, config.dac)
     if signs is None:
-        i_pos = volts.T @ weights.g_pos
-        i_neg = volts.T @ weights.g_neg
-    else:
-        v_fwd = np.where(signs, 0.0, volts)
-        v_rev = np.where(signs, volts, 0.0)
-        i_pos = v_fwd.T @ weights.g_pos + v_rev.T @ weights.g_neg
-        i_neg = v_fwd.T @ weights.g_neg + v_rev.T @ weights.g_pos
-
-    pos_bits, x_pos, under_p, sat_p = _convert(readout, i_pos, config)
-    neg_bits, x_neg, under_n, sat_n = _convert(readout, i_neg, config)
-    digital = (x_pos - x_neg) * (config.adc.v_mid / scale_chain(config))
-    out = MacroResult(pos_bits, neg_bits, digital, under_p & under_n, sat_p | sat_n)
-    return _squeeze_result(out, single)
+        return volts.T @ weights.g_pos, volts.T @ weights.g_neg
+    v_rev = np.where(signs, volts, 0.0)
+    volts -= v_rev  # exactly 0 where the sign is set: the forward phase
+    i_pos = volts.T @ weights.g_pos
+    i_pos += v_rev.T @ weights.g_neg
+    i_neg = volts.T @ weights.g_neg
+    i_neg += v_rev.T @ weights.g_pos
+    return i_pos, i_neg
 
 
 def _convert(readout: str, currents: np.ndarray, config: MacroConfig):

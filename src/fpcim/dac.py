@@ -75,7 +75,9 @@ def dac_convert(code: FpCode, config: DacConfig) -> float:
 
 def dac_convert_bits(bits: np.ndarray, fmt: FpFormat, config: DacConfig) -> np.ndarray:
     """Vectorized conversion of 7-bit code patterns to voltages."""
-    v = config.v_unit * fpcodec.decode_bits(bits, fmt) * (1.0 + config.gain_error)
+    v = fpcodec.decode_bits(bits, fmt)  # a fresh array, scaled in place
+    v *= config.v_unit
+    v *= 1.0 + config.gain_error
     if v.size and float(np.max(v)) >= config.v_supply:
         raise DacSaturationError("DAC output exceeds the analog supply")
     return v

@@ -13,6 +13,7 @@ bits: ``[e..e m..m]``, e.g. E2M5 exponent 2 / mantissa 30 prints "1011110".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 CODE_BITS = 7
+
+# Elements per block (128 KiB of float64) of ``quantize_tensor`` and of the
+# conversion chain in ``cimmacro.macro_mac``: their temporaries stay
+# cache-sized instead of spanning the whole batch.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -147,12 +153,14 @@ def decode(code: FpCode) -> float:
     return (1.0 + code.mantissa / fmt.mant_levels) * 2.0**code.exponent
 
 
+@functools.cache
 def all_values(fmt: FpFormat) -> np.ndarray:
-    """All 128 decoded values in code-bit order (index = bit pattern)."""
+    """All 128 decoded values in code-bit order (index = bit pattern); read-only."""
     e = np.arange(fmt.code_count) >> fmt.mantissa_bits
     m = np.arange(fmt.code_count) & (fmt.mant_levels - 1)
     vals = (1.0 + m / fmt.mant_levels) * np.exp2(e)
     vals[0] = 0.0
+    vals.flags.writeable = False
     return vals
 
 
@@ -160,10 +168,10 @@ def encode(value: float, fmt: FpFormat = E2M5, mode: str = "nearest") -> EncodeR
     """Encode a non-negative real to the closest code under the given mode.
 
     ``nearest`` picks the decodable value (including 0) with minimum
-    distance, ties toward the smaller code; mantissa overflow carries into
-    the exponent.  ``ceiling`` mirrors the ADC counter: values below 1 flush
-    to the zero code, otherwise the smallest code whose value is >= the
-    input is returned.
+    distance, ties to the even mantissa (as ``np.rint``); mantissa overflow
+    carries into the exponent.  ``ceiling`` mirrors the ADC counter: values
+    below 1 flush to the zero code, otherwise the smallest code whose value
+    is >= the input is returned.
 
     Values that flush to zero set the underflow flag; values above the
     format maximum clamp to the top code and set the overflow flag.
@@ -179,55 +187,58 @@ def encode(value: float, fmt: FpFormat = E2M5, mode: str = "nearest") -> EncodeR
 def encode_values(values: np.ndarray, fmt: FpFormat = E2M5, mode: str = "nearest"):
     """Vectorized encode of non-negative values.
 
+    Works on the float64 bit pattern ``u`` (as int64): with ``d = 52 - M``
+    dropped mantissa bits, a value in [1, max_value] has the code
+    ``((u + r) >> d) - (1023 << M)``, where the rounding constant ``r`` is
+    ``2^(d-1) - 1 + lsb`` for ``nearest`` (half to even, ``lsb`` the last
+    kept bit) and ``2^d - 1`` for ``ceiling``; a mantissa that rounds over
+    carries into the exponent through the add.  Values below 1 get no
+    non-zero code from that: ``nearest`` gives them (and the values that
+    round down onto the zero slot) code 1 when ``min_nonzero`` is the
+    closer of the two, ``ceiling`` leaves them at 0.
+
     Returns (code_bits uint8, underflow mask, overflow mask).
     """
     x = np.asarray(values, dtype=float)
-    if x.size and (np.any(x < 0) or not np.all(np.isfinite(x))):
+    if x.size and not (np.min(x) >= 0 and np.max(x) < np.inf):  # min >= 0 also rejects NaN
         raise ContractError("encode requires finite non-negative values")
 
     overflow = x > fmt.max_value
-    xc = np.minimum(x, fmt.max_value)
-
-    # Exponent of the surrounding binade, clamped to the format range
-    # (frexp is exact, unlike log2 at binade edges).
-    e = np.frexp(xc)[1] - 1
-    e = np.clip(e, 0, fmt.exp_max)
-    frac = xc / np.exp2(e) - 1.0  # in [-1, 1)
-
+    # out= keeps a 0-d input an array, so the in-place steps below apply
+    u = np.minimum(x, fmt.max_value, out=np.empty(x.shape)).view(np.int64)
+    d = 52 - fmt.mantissa_bits
     if mode == "nearest":
-        m = np.rint(frac * fmt.mant_levels).astype(int)
+        r = u >> d
+        r &= 1
+        r += (1 << (d - 1)) - 1
+        u += r
     else:
-        m = np.ceil(frac * fmt.mant_levels).astype(int)
-    m = np.maximum(m, 0)
-    # Mantissa overflow carries into the exponent (cannot exceed exp_max
-    # because overflow was clamped above).
-    carry = m >= fmt.mant_levels
-    e = e + carry
-    m = np.where(carry, 0, m)
-
-    bits = ((e << fmt.mantissa_bits) | m).astype(np.uint8)
+        u += (1 << d) - 1
+    u >>= d
+    u -= 1023 << fmt.mantissa_bits
+    np.maximum(u, 0, out=u)  # below 1 (and +-0) lands on the zero code
+    bits = u.astype(np.uint8)
 
     if mode == "nearest":
         # The (0,0) slot decodes to 0, not 1: values landing there must be
         # re-judged against the nearest non-zero code, 1 + 2^-M.
-        contested = (bits == 0) & (x > 0)
-        round_up = contested & (fmt.min_nonzero - x < x)
-        bits = np.where(round_up, 1, bits).astype(np.uint8)
-    else:
-        # Ceiling mirrors the converter: anything below 1 is not read out.
-        flush = x < 1.0
-        bits = np.where(flush, 0, bits).astype(np.uint8)
+        bits[(bits == 0) & (fmt.min_nonzero - x < x)] = 1
 
     underflow = (bits == 0) & (x > 0)
     return bits, underflow, overflow
 
 
 def decode_bits(bits: np.ndarray, fmt: FpFormat = E2M5) -> np.ndarray:
-    """Vectorized decode of 7-bit code patterns through the ``all_values`` table."""
-    b = np.asarray(bits, dtype=np.int64)
+    """Vectorized decode of 7-bit code patterns through the ``all_values`` table.
+
+    The codes must have an integer dtype; they index the table as they are.
+    """
+    b = np.asarray(bits)
+    if not np.issubdtype(b.dtype, np.integer):
+        raise ContractError(f"codes must have an integer dtype, not {b.dtype}")
     if b.size and (b.min() < 0 or b.max() >= (1 << CODE_BITS)):
         raise ContractError("code bits out of 7-bit range")
-    return all_values(fmt)[b]
+    return all_values(fmt).take(b)
 
 
 class QuantResult(NamedTuple):
@@ -242,15 +253,24 @@ def quantize_tensor(values: np.ndarray, fmt: FpFormat = E2M5, scale: float | Non
     The scale maps the largest magnitude onto the top decodable value;
     each element is then encoded round-to-nearest.  Signs are stored out
     of band.  An all-zero tensor gets scale 1 and all-zero codes.
+
+    The tensor is encoded in flat blocks of ``_BLOCK`` elements into one
+    code array; encoding is elementwise, so the codes do not depend on the
+    block size.
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ContractError("cannot quantize an empty tensor")
     if scale is None:
-        max_abs = float(np.max(np.abs(x)))
+        max_abs = float(max(np.max(x), -np.min(x)))
         scale = fmt.max_value / max_abs if max_abs > 0 else 1.0
-    codes, _, _ = encode_values(np.abs(x) * scale, fmt, mode="nearest")
-    return QuantResult(codes, x < 0, QuantScale(scale))
+    flat = x.reshape(-1)
+    codes = np.empty(flat.size, dtype=np.uint8)
+    for lo in range(0, flat.size, _BLOCK):
+        chunk = np.abs(flat[lo : lo + _BLOCK])
+        chunk *= scale
+        codes[lo : lo + _BLOCK] = encode_values(chunk, fmt, mode="nearest")[0]
+    return QuantResult(codes.reshape(x.shape), x < 0, QuantScale(scale))
 
 
 def dequantize_tensor(q: QuantResult, fmt: FpFormat = E2M5) -> np.ndarray:

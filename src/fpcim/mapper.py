@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cimmacro import MacroConfig, batch_inputs, macro_mac
 from .errors import ContractError
@@ -184,7 +185,8 @@ def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
 
     ``x`` is (c, h, w) or a batch (n, c, h, w); the result has shape
     (c*k*k, n*out_h*out_w) with rows ordered (channel, ki, kj) so that
-    ``weights_matrix.T @ im2col(x)`` equals the direct convolution.
+    ``weights_matrix.T @ im2col(x)`` equals the direct convolution.  The
+    columns are one strided copy of the padded input's k x k windows.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 3:
@@ -195,13 +197,10 @@ def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = conv_output_shape(layer, h, w)
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols = np.empty((c * k * k, n * oh * ow))
-    for ci in range(c):
-        for ki in range(k):
-            for kj in range(k):
-                patch = xp[:, ci, ki : ki + s * oh : s, kj : kj + s * ow : s]
-                cols[(ci * k + ki) * k + kj] = patch.reshape(-1)
-    return cols
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    cols = np.empty((c, k, k, n, oh, ow))
+    np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * k * k, n * oh * ow)
 
 
 @dataclass
@@ -226,9 +225,12 @@ class MacroBank:
 
         Each column block is divided by one scale, so the raw digital
         outputs of its row tiles are summable: ``weight_scale`` if given,
-        else the block's max-abs weight (1 for an all-zero block).  Tile
-        ``t`` is programmed with seed ``seed + t.id``.
+        else the block's max-abs weight (1 for an all-zero block).  A given
+        scale must be finite and positive.  Tile ``t`` is programmed with
+        seed ``seed + t.id``.
         """
+        if weight_scale is not None and not 0 < weight_scale < np.inf:
+            raise ContractError(f"weight_scale must be finite and positive, got {weight_scale}")
         w = np.asarray(weights, dtype=float)
         if w.shape != (plan.rows, plan.cols):
             raise ContractError(f"weight matrix {w.shape} does not match plan "
@@ -289,7 +291,7 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
             raw += res.digital_values.reshape(n, -1)
             b_under &= res.underflow.reshape(n, -1)
             b_sat |= res.saturated.reshape(n, -1)
-        out[:, lo:hi] = raw * (beta / bank.config.device.level_scale)
+        np.multiply(raw, beta / bank.config.device.level_scale, out=out[:, lo:hi])
         under[:, lo:hi] = b_under
         sat[:, lo:hi] = b_sat
     if single:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fpcim.adc import AdcConfig, convert_analytic, int8_baseline_convert
+from fpcim import cimmacro, fpcodec
+from fpcim.adc import (
+    INT8_FULL_SCALE,
+    INT8_LSB,
+    AdcConfig,
+    convert_analytic,
+    convert_analytic_array,
+    int8_baseline_convert,
+)
 from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
 from fpcim.dac import DacConfig, dac_convert, dac_convert_bits
 from fpcim.errors import ContractError, DacSaturationError
@@ -216,3 +224,53 @@ def test_non_integer_codes_rejected():
 def test_format_adc_mismatch_rejected_at_construction():
     with pytest.raises(ContractError):
         MacroConfig(fmt=E3M4, dac=DacConfig(v_unit=0.01))  # default ADC is E2M5
+
+
+def unblocked_macro_mac(bits, weights, cfg, signs, readout):
+    """The macro chain from public stages on the whole batch, no blocks."""
+    volts = dac_convert_bits(bits, cfg.fmt, cfg.dac)
+    if signs is None:
+        i_pos, i_neg = volts.T @ weights.g_pos, volts.T @ weights.g_neg
+    else:
+        v_fwd, v_rev = np.where(signs, 0.0, volts), np.where(signs, volts, 0.0)
+        i_pos = v_fwd.T @ weights.g_pos + v_rev.T @ weights.g_neg
+        i_neg = v_fwd.T @ weights.g_neg + v_rev.T @ weights.g_pos
+    out = []
+    for currents in (i_pos, i_neg):
+        if readout == "adc":
+            codes, under, sat, _ = convert_analytic_array(currents, cfg.adc, cfg.fmt)
+            out.append((codes, decode_bits(codes, cfg.fmt), under, sat))
+        else:
+            codes, under, sat = int8_baseline_convert(currents, cfg.adc)
+            out.append((codes, codes * INT8_LSB, under, sat))
+    (pb, xp, up, sp), (nb, xn, un, sn) = out
+    digital = (xp - xn) * (cfg.adc.v_mid / scale_chain(cfg))
+    return pb, nb, digital, up & un, sp | sn
+
+
+@pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
+@pytest.mark.parametrize("readout", ["adc", "int8"])
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_blocked_chain_equals_unblocked_composition(fmt, readout, signed):
+    rng = np.random.default_rng(31)
+    rows, cols = 40, 200
+    n = 3 * max(1, fpcodec._BLOCK // cols) + 17  # three full blocks and a ragged tail
+    device = DeviceModel(levels=16)
+    weights = program_weights(rng.uniform(-1, 1, (rows, cols)), device, seed=5)
+    bits = rng.integers(0, 128, (rows, n)).astype(np.uint8)
+    signs = rng.random((rows, n)) < 0.5 if signed else None
+    # integration capacitor sized so the largest column current reads 0.9 of full scale
+    dac = DacConfig(v_unit=cimmacro.V_UNIT[fmt])
+    volts = dac_convert_bits(bits, fmt, dac)
+    i_max = max(float(np.max(volts.T @ weights.g_pos)), float(np.max(volts.T @ weights.g_neg)))
+    base = AdcConfig.for_format(fmt)
+    full = base.x_sat if readout == "adc" else INT8_FULL_SCALE
+    adc = AdcConfig.for_format(fmt, c_int=i_max * base.t_int / (base.v_mid * 0.9 * full))
+    cfg = MacroConfig(fmt, dac, adc, device)
+
+    res = macro_mac(bits, weights, cfg, signs=signs, readout=readout)
+    assert not res.saturated.any() and not res.underflow.all()
+    want = unblocked_macro_mac(bits, weights, cfg, signs, readout)
+    got = (res.pos_bits, res.neg_bits, res.digital_values, res.underflow, res.saturated)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpcim import fpcodec
+from fpcim.dac import DacConfig, dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.fpcodec import (
     E2M5,
@@ -16,6 +18,8 @@ from fpcim.fpcodec import (
     encode_values,
     int8_dequantize,
     int8_quantize,
+    QuantResult,
+    QuantScale,
     quantize_tensor,
 )
 
@@ -68,6 +72,24 @@ def test_all_128_codes_distinct_and_increasing(fmt):
     assert len(np.unique(nonzero)) == 127
     # code-bit order == (exponent, mantissa) order == value order
     assert np.all(np.diff(nonzero) > 0)
+
+
+@pytest.mark.parametrize("decoder", [
+    lambda b: decode_bits(b, E2M5),
+    lambda b: dac_convert_bits(b, E2M5, DacConfig()),
+    lambda b: dequantize_tensor(QuantResult(b, np.zeros(b.shape, bool), QuantScale(1.0)), E2M5),
+], ids=["decode_bits", "dac_convert_bits", "dequantize_tensor"])
+def test_non_integer_codes_rejected(decoder):
+    # float codes must not be truncated to the integer below them
+    with pytest.raises(ContractError):
+        decoder(np.array([3.7, 33.9]))
+    with pytest.raises(ContractError):
+        decoder(np.array([3.0, 33.0]))
+
+
+def test_all_values_table_is_read_only():
+    with pytest.raises(ValueError):
+        all_values(E2M5)[1] = 0.0
 
 
 # ---------------------------------------------------------------- encode
@@ -123,6 +145,30 @@ def test_encode_ceiling_mode():
     assert decode(encode(5.125, E2M5, "ceiling").code) == 5.125
     # mantissa overflow carries into the exponent
     assert decode(encode(1.99, E2M5, "ceiling").code) == 2.0
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+def test_exact_midpoints_round_to_even_mantissa(fmt):
+    # a tie between adjacent codes goes to the one with the even mantissa
+    # (the code's low bit); at a binade edge that is the carry into the
+    # next exponent with mantissa 0, and the 0 / min_nonzero tie keeps 0
+    vals = all_values(fmt)
+    mids = (vals[:-1] + vals[1:]) / 2  # exact in float64
+    bits, _, _ = encode_values(mids, fmt)
+    lower = np.arange(127)
+    np.testing.assert_array_equal(bits, np.where(lower % 2 == 0, lower, lower + 1))
+    edges = [(e << fmt.mantissa_bits) - 1 for e in range(1, fmt.exp_max + 1)]
+    for b in edges:
+        assert bits[b] == b + 1 and (bits[b] & (fmt.mant_levels - 1)) == 0
+    assert encode(mids[0], fmt).code.is_zero
+
+
+def test_encode_tie_goes_to_even_mantissa():
+    # 1 + 1.5/32 lies halfway between mantissas 1 and 2
+    res = encode(1 + 1.5 / 32, E2M5)
+    assert (res.code.exponent, res.code.mantissa) == (0, 2)
+    res = encode(1 + 2.5 / 32, E2M5)
+    assert (res.code.exponent, res.code.mantissa) == (0, 2)
 
 
 def test_encode_rejects_negative():
@@ -203,6 +249,23 @@ def test_quantize_all_zero_tensor():
 def test_quantize_empty_rejected():
     with pytest.raises(ContractError):
         quantize_tensor(np.array([]), E2M5)
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+def test_quantize_blocks_match_whole_tensor_encode(fmt):
+    # several encode blocks plus a ragged tail, in a non-contiguous 2-D view
+    rng = np.random.default_rng(11)
+    x = rng.laplace(0.0, 2.0, (3 * fpcodec._BLOCK + 1234, 2))[:, 1]
+    x[::997] = 0.0
+    q = quantize_tensor(x, fmt)
+    scale = fmt.max_value / np.max(np.abs(x))
+    assert q.scale.scale == scale
+    want, _, _ = encode_values(np.abs(x) * scale, fmt)
+    np.testing.assert_array_equal(q.codes, want)
+    np.testing.assert_array_equal(q.signs, x < 0)
+    grid = x[: x.size - x.size % 7].reshape(-1, 7)
+    np.testing.assert_array_equal(quantize_tensor(grid, fmt, scale=scale).codes,
+                                  want[: grid.size].reshape(grid.shape))
 
 
 def test_dequantize_round_trip_representable():

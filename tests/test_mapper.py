@@ -140,6 +140,19 @@ def test_im2col_matmul_equals_direct_conv():
         )
 
 
+def test_im2col_batch_stride_pad_equals_index_formula():
+    rng = np.random.default_rng(12)
+    n, c, h, w, k, s, p = 3, 2, 7, 6, 3, 2, 1
+    layer = LayerSpec.conv(c, k, 4, stride=s, padding=p)
+    x = rng.standard_normal((n, c, h, w))
+    oh, ow = conv_output_shape(layer, h, w)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    want = np.empty((c * k * k, n * oh * ow))
+    for ci, ki, kj, b, i, j in np.ndindex(c, k, k, n, oh, ow):
+        want[(ci * k + ki) * k + kj, (b * oh + i) * ow + j] = xp[b, ci, s * i + ki, s * j + kj]
+    np.testing.assert_array_equal(im2col(x, layer), want)
+
+
 def test_im2col_channel_mismatch():
     with pytest.raises(ContractError):
         im2col(np.zeros((2, 4, 4)), LayerSpec.conv(3, 3, 1))
@@ -232,6 +245,14 @@ def test_weight_scale_normalizes_block():
     w = np.array([[2.0, -4.0]] * 4)
     bank = MacroBank.build(plan, w, cfg)  # per-column-block max-abs
     assert bank[0].weight_scale == 4.0
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_build_rejects_bad_weight_scale(scale):
+    cfg = MacroConfig(device=ideal_device())
+    plan = map_matrix(4, 2)
+    with pytest.raises(ContractError, match="weight_scale"):
+        MacroBank.build(plan, np.ones((4, 2)), cfg, weight_scale=scale)
 
 
 def test_layer_spec_validation():
