@@ -14,12 +14,17 @@ code.  ``v_mid``, the reset level and the bank itself are derived from
 
 Two conversion paths are provided: ``simulate_transient`` is the
 event-driven simulation with a full trace, ``convert_analytic`` the
-closed-form converter used as its oracle (``convert_analytic_array`` is its
-vectorized form).  Both share the single-slope readout, which uses ceiling
-semantics (the counter stops on the first ramp step at or above the sampled
-voltage, a +1/2 LSB bias).  ``int8_baseline_convert`` is the fixed-range
-INT8 converter the adaptive one is compared against; all converters read
-the same normalized input ``x`` (``adc_x``).
+closed-form converter used as its oracle.  Both share the single-slope
+readout, which uses ceiling semantics (the counter stops on the first ramp
+step at or above the sampled voltage, a +1/2 LSB bias).
+``convert_analytic_array``, the vectorized converter, reads the same code
+from the float64 bit pattern of x: exponent and kept mantissa bits, plus
+one step if a dropped bit is set, clamped at the top step instead of
+carrying.  That is the ramp formula exactly when the ramp steps are exact
+in floating point, as at a power-of-two ``v_th`` (the default 2 V).
+``int8_baseline_convert`` is the fixed-range INT8 converter the adaptive
+one is compared against; all converters read the same normalized input
+``x`` (``adc_x``).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .fpcodec import E2M5, FpCode, FpFormat
+from .fpcodec import E2M5, FpCode, FpFormat, all_values
 
 __all__ = [
     "AdcConfig",
@@ -194,26 +199,35 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> A
 
 
 def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat = E2M5):
-    """Vectorized analytic conversion.
+    """Vectorized analytic conversion, read from the float64 bit pattern of x.
 
-    Returns (code_bits uint8, underflow, saturated, v_m) arrays.
+    x is clipped to [1, x_sat) and viewed as int64 ``u``.  With ``d = 52 - M``
+    dropped mantissa bits the code is ``(u >> d) - (1023 << M)``, plus one
+    step when a dropped bit is set (the ramp's ceiling), clamped at the
+    binade's top step instead of carrying into the next exponent.
+    Underflow lands on code 0 and saturation (+inf included) on the top
+    code.  This equals ``convert_analytic``'s ``v_m`` formula when every
+    ramp step is exact in floating point, as at a power-of-two ``v_th``;
+    elsewhere the formula's rounding can move x within a few ulp of a step
+    to the neighbouring code, and this reads the exact ceiling.
+
+    Returns (code_bits uint8, underflow, saturated, x value of each code).
     """
     check_format(config, fmt)
-    x = adc_x(i_mac, config)
+    x = np.asarray(adc_x(i_mac, config))  # a fresh array, clipped in place
     underflow = x < 1.0
     saturated = x >= config.x_sat
-    # Clipping keeps +inf out of frexp; saturated entries are replaced below.
-    mant_frac, expo = np.frexp(np.clip(x, 1.0, config.x_sat))
-    e = expo - 1  # x = mant_frac * 2^expo with mant_frac in [0.5, 1)
-    v_m = config.v_mid * (2.0 * mant_frac)  # x / 2^e in [1, 2) scaled to volts
-    step = (config.v_th - config.v_mid) / config.ramp_steps
-    mant = np.ceil((v_m - config.v_mid) / step).astype(int)
-    mant = np.clip(mant, 0, config.ramp_steps - 1)
-    bits = (e << fmt.mantissa_bits) | mant
-    bits = np.where(underflow, 0, bits)
-    bits = np.where(saturated, (fmt.exp_max << fmt.mantissa_bits) | (fmt.mant_levels - 1), bits)
-    v_m = np.where(underflow, x * config.v_mid, np.where(saturated, config.v_th, v_m))
-    return bits.astype(np.uint8), underflow, saturated, v_m
+    np.clip(x, 1.0, np.nextafter(config.x_sat, 0.0), out=x)
+    u = x.view(np.int64)
+    d = 52 - fmt.mantissa_bits
+    top = u >> d
+    top |= fmt.mant_levels - 1  # the binade's top step
+    u += (1 << d) - 1
+    u >>= d
+    np.minimum(u, top, out=u)
+    u -= 1023 << fmt.mantissa_bits
+    codes = u.astype(np.uint8)
+    return codes, underflow, saturated, all_values(fmt).take(codes)
 
 
 def _current_segments(i_of_t, t_int: float) -> list[tuple[float, float, float]]:

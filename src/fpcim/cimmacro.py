@@ -6,10 +6,11 @@ currents of its column pairs: the pair's shape, at most ``xbar.MAX_ROWS``
 x ``xbar.MAX_COLS`` (576x256), is the tile's geometry, and ``MacroConfig``
 holds only what the tiles of a bank share.  Both columns of a pair go
 through the same converter, the adaptive FP-ADC (``readout="adc"``) or the
-fixed-range INT8 baseline (``"int8"``); each converted code is read back as
-its x value and the two are subtracted digitally in double precision, so
-the converter never sees a signed value.  ``"identity"`` bypasses the
-analog chain and returns the exact dot product.
+fixed-range INT8 baseline (``"int8"``).  The FP-ADC returns each code's x
+value with the code; an INT8 code is scaled by ``INT8_LSB``.  The two x
+values are subtracted digitally in double precision, so the converter
+never sees a signed value.  ``"identity"`` bypasses the analog chain and
+returns the exact dot product.
 
 The digital result is reported in dimensionless dot-product units
 ``sum_i decode(input_i) * level_i`` (``level`` the signed integer
@@ -194,8 +195,8 @@ def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig)
 def _convert(readout: str, currents: np.ndarray, config: MacroConfig):
     """Convert one column of each pair: (codes, their x values, underflow, saturated)."""
     if readout == "adc":
-        codes, underflow, saturated, _ = convert_analytic_array(currents, config.adc, config.fmt)
-        return codes, fpcodec.decode_bits(codes, config.fmt), underflow, saturated
+        codes, underflow, saturated, x = convert_analytic_array(currents, config.adc, config.fmt)
+        return codes, x, underflow, saturated
     codes, underflow, saturated = int8_baseline_convert(currents, config.adc)
     return codes, codes * INT8_LSB, underflow, saturated
 

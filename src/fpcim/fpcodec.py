@@ -178,8 +178,6 @@ def encode(value: float, fmt: FpFormat = E2M5, mode: str = "nearest") -> EncodeR
     """
     if value < 0 or not np.isfinite(value):
         raise ContractError(f"encode requires a finite non-negative value, got {value}")
-    if mode not in ("nearest", "ceiling"):
-        raise ContractError(f"unknown rounding mode {mode!r}")
     bits, under, over = encode_values(np.array([value]), fmt, mode)
     return EncodeResult(FpCode.from_bits(int(bits[0]), fmt), bool(under[0]), bool(over[0]))
 
@@ -199,6 +197,8 @@ def encode_values(values: np.ndarray, fmt: FpFormat = E2M5, mode: str = "nearest
 
     Returns (code_bits uint8, underflow mask, overflow mask).
     """
+    if mode not in ("nearest", "ceiling"):
+        raise ContractError(f"unknown rounding mode {mode!r}")
     x = np.asarray(values, dtype=float)
     if x.size and not (np.min(x) >= 0 and np.max(x) < np.inf):  # min >= 0 also rejects NaN
         raise ContractError("encode requires finite non-negative values")

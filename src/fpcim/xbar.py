@@ -77,8 +77,8 @@ class ConductancePair:
         rows, cols = self.g_pos.shape
         if not (1 <= rows <= MAX_ROWS and 1 <= cols <= MAX_COLS):
             raise ContractError(f"tile {rows}x{cols} does not fit the {MAX_ROWS}x{MAX_COLS} macro")
-        if np.any(self.g_pos < 0) or np.any(self.g_neg < 0):
-            raise ContractError("conductances must be non-negative")
+        if not (self.g_pos.min() >= 0 and self.g_neg.min() >= 0):  # min propagates NaN
+            raise ContractError("conductances must be non-negative and not NaN")
         self.g_pos.flags.writeable = False
         self.g_neg.flags.writeable = False
 
@@ -105,30 +105,41 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
     Magnitudes are rounded to the device's conductance levels; programming
     variation is a multiplicative Gaussian ``(1 + sigma_rel * N(0,1))``
     drawn from the given seed, clamped back into [g_min, g_max].
+
+    Both matrices are planes of one ``(2, rows, cols)`` buffer: plane 0 is
+    ``g_pos``, plane 1 ``g_neg``.  The noise is one ``standard_normal``
+    draw into that buffer, the same stream as a draw for ``g_pos``
+    followed by one for ``g_neg``.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    if not np.all(np.isfinite(w)):
-        raise ContractError("weights must be finite")
-    if np.max(np.abs(w), initial=0.0) > 1.0:
+    if w.size and not (-1.0 <= w.min() and w.max() <= 1.0):  # NaN fails both
+        if not np.all(np.isfinite(w)):
+            raise ContractError("weights must be finite")
         raise ContractError("weight magnitudes must be pre-scaled to [0, 1]")
 
-    span = model.g_max - model.g_min
-    if model.levels is None:
-        q = np.abs(w)
-    else:
-        q = np.rint(np.abs(w) * (model.levels - 1)) / (model.levels - 1)
-    g_on = model.g_min + q * span
-    g_pos = np.where(w >= 0, g_on, model.g_min)
-    g_neg = np.where(w < 0, g_on, model.g_min)
-
+    q = np.abs(w)
+    if model.levels is not None:
+        q *= model.levels - 1
+        np.rint(q, out=q)
+        q /= model.levels - 1
+    q *= model.g_max - model.g_min
+    # q * (w >= 0) + g_min is bitwise where(w >= 0, g_min + q, g_min): q is finite
+    g = np.empty((2,) + w.shape)
     if model.sigma_rel > 0:
-        rng = np.random.default_rng(seed)
-        g_pos = g_pos * (1.0 + model.sigma_rel * rng.standard_normal(w.shape))
-        g_neg = g_neg * (1.0 + model.sigma_rel * rng.standard_normal(w.shape))
-        g_pos = np.clip(g_pos, model.g_min, model.g_max)
-        g_neg = np.clip(g_neg, model.g_min, model.g_max)
-
-    return ConductancePair(np.ascontiguousarray(g_pos), np.ascontiguousarray(g_neg))
+        np.random.default_rng(seed).standard_normal(out=g)
+        g *= model.sigma_rel
+        g += 1.0
+        g_on = np.empty_like(q)
+        for plane, on in zip(g, (w >= 0, w < 0)):
+            np.multiply(q, on, out=g_on)
+            g_on += model.g_min
+            plane *= g_on
+        np.clip(g, model.g_min, model.g_max, out=g)
+    else:
+        for plane, on in zip(g, (w >= 0, w < 0)):
+            np.multiply(q, on, out=plane)
+            plane += model.g_min
+    return ConductancePair(g[0], g[1])
 
 
 def mac_currents(v_in: np.ndarray, g: np.ndarray, v_clamp: float = 0.0) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fpcim.adc import (
     LATENCY_NS,
     AdcConfig,
+    adc_x,
     charge_share,
     convert_analytic,
     convert_analytic_array,
@@ -17,7 +18,7 @@ from fpcim.adc import (
     trace_to_csv,
 )
 from fpcim.errors import ContractError
-from fpcim.fpcodec import E2M5, E3M4
+from fpcim.fpcodec import E2M5, E3M4, all_values, decode
 
 CFG = AdcConfig()  # 100 fF, [C, C, 2C, 4C], 2 V threshold, 95 ns window
 
@@ -121,12 +122,52 @@ def test_analytic_negative_current_contract():
 
 def test_analytic_array_matches_scalar():
     currents = np.linspace(0, 20e-6, 777)
-    bits, under, sat, v_m = convert_analytic_array(currents, CFG)
+    bits, under, sat, values = convert_analytic_array(currents, CFG)
     for k, i in enumerate(currents):
         r = convert_analytic(float(i), CFG)
         assert bits[k] == r.code.to_bits()
         assert under[k] == r.underflow and sat[k] == r.saturated
-        assert v_m[k] == pytest.approx(r.v_m, rel=1e-15)
+        assert values[k] == decode(r.code)
+
+
+def _ramp_sweep(fmt, v_th):
+    """(config, ramp steps, currents) for an exact sweep of x.
+
+    The config makes ``adc_x`` an exact scaling by 2^20, so the currents
+    land on every ramp step (the code values, 2^e included), every ramp
+    midpoint and x_sat, and on +-1 and +-2 ulp around each, plus 0 and +inf.
+    """
+    v_mid = v_th / 2
+    cfg = AdcConfig.for_format(fmt, c_int=2.0**-43 / v_mid, v_th=v_th, t_int=2.0**-23)
+    assert cfg.c_int * cfg.v_mid == 2.0**-43
+    half = np.arange(2 * fmt.mant_levels) / (2 * fmt.mant_levels)
+    grid = np.concatenate([np.ldexp(1.0 + half, e) for e in range(fmt.exp_max + 1)]
+                          + [[cfg.x_sat]])
+    below, above = np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)
+    x = np.concatenate([grid, below, above, np.nextafter(below, 0.0),
+                        np.nextafter(above, np.inf), [0.0, np.inf]])
+    currents = np.ldexp(x, -20)
+    np.testing.assert_array_equal(adc_x(currents, cfg), x)
+    return cfg, grid[::2], currents  # the odd grid entries are the midpoints
+
+
+@pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
+@pytest.mark.parametrize("v_th", [2.0, 3.0, 1.7])
+def test_analytic_array_matches_scalar_at_ramp_steps(fmt, v_th):
+    cfg, steps, currents = _ramp_sweep(fmt, v_th)
+    codes, under, sat, values = convert_analytic_array(currents, cfg, fmt)
+    np.testing.assert_array_equal(values, all_values(fmt)[codes])
+    x = adc_x(currents, cfg)
+    for k, i in enumerate(currents):
+        r = convert_analytic(float(i), cfg, fmt)
+        assert under[k] == r.underflow and sat[k] == r.saturated
+        if codes[k] != r.code.to_bits():
+            # the scalar ramp formula rounds at a step that is not exact in
+            # floating point; the bit pattern reads the exact ceiling there
+            assert v_th != 2.0, f"x = {x[k]!r}"
+            s = steps[np.argmin(np.abs(steps - x[k]))]
+            assert abs(x[k] - s) <= 2 * np.spacing(s), f"x = {x[k]!r}"
+            assert abs(int(codes[k]) - r.code.to_bits()) == 1
 
 
 # ---------------------------------------------------------------- transient

@@ -147,6 +147,15 @@ def test_encode_ceiling_mode():
     assert decode(encode(1.99, E2M5, "ceiling").code) == 2.0
 
 
+def test_encode_values_rejects_unknown_mode():
+    # a misspelt mode must not fall through to ceiling, which gives [2, 74]
+    with pytest.raises(ContractError, match="nearst"):
+        encode_values(np.array([1.04, 5.13]), E2M5, mode="nearst")
+    with pytest.raises(ContractError, match="nearst"):
+        encode(1.04, E2M5, mode="nearst")
+    np.testing.assert_array_equal(encode_values(np.array([1.04, 5.13]), E2M5)[0], [1, 73])
+
+
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_exact_midpoints_round_to_even_mantissa(fmt):
     # a tie between adjacent codes goes to the one with the even mantissa

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fpcim.errors import ContractError
 from fpcim.xbar import (
+    ConductancePair,
     DeviceModel,
     export_conductance_csv,
     import_conductance_csv,
@@ -171,3 +172,58 @@ def test_non_finite_weights_rejected():
         w[0, 1] = bad
         with pytest.raises(ContractError):
             program_weights(w, NOISELESS)
+
+
+def two_draw_program(w, model, seed):
+    """The two-draw programming formula: separate where/draw/clip per matrix."""
+    span = model.g_max - model.g_min
+    if model.levels is None:
+        q = np.abs(w)
+    else:
+        q = np.rint(np.abs(w) * (model.levels - 1)) / (model.levels - 1)
+    g_on = model.g_min + q * span
+    g_pos = np.where(w >= 0, g_on, model.g_min)
+    g_neg = np.where(w < 0, g_on, model.g_min)
+    if model.sigma_rel > 0:
+        rng = np.random.default_rng(seed)
+        g_pos = g_pos * (1.0 + model.sigma_rel * rng.standard_normal(w.shape))
+        g_neg = g_neg * (1.0 + model.sigma_rel * rng.standard_normal(w.shape))
+        g_pos = np.clip(g_pos, model.g_min, model.g_max)
+        g_neg = np.clip(g_neg, model.g_min, model.g_max)
+    return g_pos, g_neg
+
+
+@pytest.mark.parametrize("levels", [16, None], ids=["mlc", "continuous"])
+@pytest.mark.parametrize("g_min", [0.5e-6, 0.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
+def test_one_buffer_program_equals_two_draw_formula(levels, g_min, sigma):
+    model = DeviceModel(g_min=g_min, g_max=20e-6, levels=levels, sigma_rel=sigma)
+    rng = np.random.default_rng(17)
+    for shape in [(1, 1), (2, 3), (37, 5), (576, 256)]:
+        w = rng.uniform(-1, 1, shape)
+        w.flat[:4] = [0.0, -0.0, 1.0, -1.0][: w.size]
+        pair = program_weights(w, model, seed=9)
+        want_pos, want_neg = two_draw_program(w, model, seed=9)
+        np.testing.assert_array_equal(pair.g_pos, want_pos)
+        np.testing.assert_array_equal(pair.g_neg, want_neg)
+        for g in (pair.g_pos, pair.g_neg):
+            assert g.flags.c_contiguous and not g.flags.writeable
+
+
+def test_out_of_range_weight_messages():
+    with pytest.raises(ContractError, match="finite"):
+        program_weights(np.array([[0.5, np.nan]]), NOISELESS)
+    with pytest.raises(ContractError, match="finite"):
+        program_weights(np.array([[-np.inf]]), NOISELESS)
+    with pytest.raises(ContractError, match="pre-scaled"):
+        program_weights(np.array([[-1.0 - 1e-12]]), NOISELESS)
+
+
+def test_nan_conductances_rejected():
+    ok = np.full((2, 2), 1e-6)
+    with pytest.raises(ContractError):
+        ConductancePair(np.full((2, 2), math.nan), ok)
+    with pytest.raises(ContractError):
+        ConductancePair(ok, np.where(np.eye(2, dtype=bool), math.nan, 1e-6))
+    with pytest.raises(ContractError):
+        ConductancePair(ok, -ok)
