@@ -14,7 +14,7 @@ from .errors import ConfigError, ContractError, DacSaturationError
 from .fpcodec import E2M5, E3M4, FpCode, FpFormat, decode, encode, quantize_tensor
 from .mapper import LayerSpec, MacroBank, TilePlan, execute_plan, im2col, map_conv, map_fc
 from .perfmodel import EnergyParams, efficiency, throughput, total_comparison
-from .xbar import ConductancePair, DeviceModel, mac_currents, program_weights
+from .xbar import ConductancePair, DeviceModel, program_weights
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "execute_plan",
     "im2col",
     "ladder_levels",
-    "mac_currents",
     "macro_mac",
     "map_conv",
     "map_fc",

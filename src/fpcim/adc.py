@@ -14,14 +14,16 @@ code.  ``v_mid``, the reset level and the bank itself are derived from
 
 Two conversion paths are provided: ``simulate_transient`` is the
 event-driven simulation with a full trace, ``convert_analytic`` the
-closed-form converter used as its oracle.  Both share the single-slope
-readout, which uses ceiling semantics (the counter stops on the first ramp
-step at or above the sampled voltage, a +1/2 LSB bias).
-``convert_analytic_array``, the vectorized converter, reads the same code
-from the float64 bit pattern of x: exponent and kept mantissa bits, plus
-one step if a dropped bit is set, clamped at the top step instead of
-carrying.  That is the ramp formula exactly when the ramp steps are exact
-in floating point, as at a power-of-two ``v_th`` (the default 2 V).
+closed-form converter used as its oracle.  The mantissa readout has
+ceiling semantics (the counter stops on the first ramp step at or above
+the sampled voltage, a +1/2 LSB bias), clamped at the top step.
+``simulate_transient`` ramps against its simulated voltage
+(``single_slope``); ``convert_analytic`` takes the ceiling of the exact
+residue ``x / 2^e - 1`` in ramp steps, so an x on a step reads that step at
+any ``v_th``.  ``convert_analytic_array``, the vectorized converter, reads
+the same code from the float64 bit pattern of x: exponent and kept mantissa
+bits, plus one step if a dropped bit is set, clamped at the top step
+instead of carrying.
 ``int8_baseline_convert`` is the fixed-range INT8 converter the adaptive
 one is compared against; all converters read the same normalized input
 ``x`` (``adc_x``).
@@ -29,7 +31,6 @@ one is compared against; all converters read the same normalized input
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +51,6 @@ __all__ = [
     "convert_analytic_array",
     "simulate_transient",
     "int8_baseline_convert",
-    "trace_to_csv",
     "INT8_LSB",
     "LATENCY_NS",
 ]
@@ -183,7 +183,11 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> A
     With ``x = i_mac * t_int / (c_int * v_mid)``: x < 1 underflows to the
     zero code, ``floor(log2 x)`` beyond the bank (+inf included) saturates
     to the top code, otherwise the exponent is ``floor(log2 x)`` and the
-    mantissa the single-slope ceiling of the residue ``v_mid * x / 2^e``.
+    mantissa the ramp's ceiling of the residue, clamped at the top step.
+    The residue is taken in ramp steps as ``(x / 2^e - 1) * ramp_steps``,
+    exact in floating point (a power-of-two division, a Sterbenz
+    subtraction and a power-of-two product), not from the sampled voltage
+    ``v_m = v_mid * x / 2^e``, whose steps need not be exact.
     """
     check_format(config, fmt)
     x = float(adc_x(i_mac, config))
@@ -194,8 +198,9 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> A
             FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt), v_m=config.v_th, saturated=True
         )
     e = math.frexp(x)[1] - 1  # exact binade, no log rounding at the edges
-    v_m = config.v_mid * (x / 2.0**e)
-    return AdcResult(FpCode(e, single_slope(v_m, config), fmt), v_m=v_m)
+    r = x / 2.0**e  # in [1, 2)
+    mant = min(math.ceil((r - 1.0) * config.ramp_steps), config.ramp_steps - 1)
+    return AdcResult(FpCode(e, mant, fmt), v_m=config.v_mid * r)
 
 
 def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat = E2M5):
@@ -206,10 +211,7 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat =
     step when a dropped bit is set (the ramp's ceiling), clamped at the
     binade's top step instead of carrying into the next exponent.
     Underflow lands on code 0 and saturation (+inf included) on the top
-    code.  This equals ``convert_analytic``'s ``v_m`` formula when every
-    ramp step is exact in floating point, as at a power-of-two ``v_th``;
-    elsewhere the formula's rounding can move x within a few ulp of a step
-    to the neighbouring code, and this reads the exact ceiling.
+    code.  This is ``convert_analytic``'s exact-residue ceiling.
 
     Returns (code_bits uint8, underflow, saturated, x value of each code).
     """
@@ -236,11 +238,11 @@ def _current_segments(i_of_t, t_int: float) -> list[tuple[float, float, float]]:
         steps = [(0.0, float(i_of_t))]
     else:
         steps = [(float(t), float(i)) for t, i in i_of_t]
-        if not steps or steps[0][0] > 0.0:
+        if not steps or steps[0][0] != 0.0:
             raise ContractError("waveform must start at t = 0")
         times = [t for t, _ in steps]
-        if sorted(times) != times:
-            raise ContractError("waveform steps must be time-ordered")
+        if not all(math.isfinite(t) for t in times) or sorted(times) != times:
+            raise ContractError("waveform times must be finite and time-ordered")
     if not all(i >= 0 for _, i in steps):
         raise ContractError("MAC currents must be non-negative and not NaN")
     segments = []
@@ -255,10 +257,10 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
     """Event-driven transient of one conversion with a full trace.
 
     ``i_of_t`` is either a constant current in amperes or a piecewise-
-    constant waveform ``[(t0, i0), (t1, i1), ...]`` with t0 = 0.  The
-    integrator is advanced analytically within each constant segment;
-    threshold crossings trigger charge-share events computed by exact
-    charge conservation.
+    constant waveform ``[(t0, i0), (t1, i1), ...]`` with t0 = 0 and finite,
+    non-decreasing times.  The integrator is advanced analytically within
+    each constant segment; threshold crossings trigger charge-share events
+    computed by exact charge conservation.
     """
     check_format(config, fmt)
     segments = _current_segments(i_of_t, config.t_int)
@@ -321,21 +323,3 @@ def int8_baseline_convert(i_mac, config: AdcConfig):
     x = adc_x(i_mac, config)
     codes = np.clip(np.ceil(x / INT8_LSB), 0, 255)
     return codes.astype(np.uint8), codes == 0, x >= INT8_FULL_SCALE
-
-
-def trace_to_csv(result: AdcResult, path) -> None:
-    """Trace columns: time_ns, v_o_volts, active_caps, sw_bits, comparator_out, phase."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ns", "v_o_volts", "active_caps", "sw_bits", "comparator_out", "phase"])
-        for ev in result.trace:
-            writer.writerow(
-                [
-                    f"{ev.time * 1e9:.6f}",
-                    f"{ev.v_o:.9f}",
-                    1 + sum(ev.switch_state),
-                    "".join(str(b) for b in ev.switch_state),
-                    1 if ev.kind == "threshold-crossing" else 0,
-                    ev.kind,
-                ]
-            )

@@ -54,7 +54,7 @@ __all__ = [
 
 READOUTS = ("adc", "identity", "int8")
 
-# Full-scale DAC swing that keeps the top code under the 2.5 V supply.
+# Full-scale DAC swing that keeps the top code under ``dac.V_SUPPLY``.
 V_UNIT = {E2M5: 0.1, E3M4: 0.01}
 
 

@@ -3,14 +3,12 @@
 A resistor-ladder reference provides ``2^M`` mantissa voltages
 ``v_unit * (1 + m / 2^M)`` shared across rows; a programmable-gain stage
 driven by the decoded exponent multiplies the selected level by ``2^e``.
-The zero code produces 0 V.  The
-closed-loop gain stage is ideal by default; ``gain_error`` applies a
-single relative error to the output for mismatch studies.
+The zero code produces 0 V.  The closed-loop gain stage is ideal, and
+every output must stay below the ``V_SUPPLY`` analog supply.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +23,16 @@ __all__ = [
     "dac_convert",
     "dac_convert_bits",
     "check_headroom",
-    "linearity_sweep",
-    "sweep_to_csv",
+    "V_SUPPLY",
 ]
+
+# Analog supply rail (volts); a DAC output at or above it saturates.
+V_SUPPLY = 2.5
 
 
 @dataclass(frozen=True)
 class DacConfig:
-    """Full-scale and supply parameters of the input DAC.
+    """Full-scale parameter of the input DAC.
 
     ``v_unit`` is the voltage representing a decoded value of 1.0; the
     default 0.1 V keeps the largest E2M5 output (1.575 V) under the 2.5 V
@@ -40,23 +40,17 @@ class DacConfig:
     """
 
     v_unit: float = 0.1
-    v_supply: float = 2.5
-    gain_error: float = 0.0
 
     def __post_init__(self):
         if self.v_unit <= 0:
             raise ContractError("v_unit must be positive")
-        if self.v_supply <= 0:
-            raise ContractError("v_supply must be positive")
 
 
 def check_headroom(config: DacConfig, fmt: FpFormat) -> None:
     """Raise if the top code would drive the output beyond the supply."""
-    v_max = config.v_unit * fmt.max_value * (1.0 + config.gain_error)
-    if v_max >= config.v_supply:
-        raise DacSaturationError(
-            f"max DAC output {v_max:.3f} V reaches the {config.v_supply} V supply"
-        )
+    v_max = config.v_unit * fmt.max_value
+    if v_max >= V_SUPPLY:
+        raise DacSaturationError(f"max DAC output {v_max:.3f} V reaches the {V_SUPPLY} V supply")
 
 
 def ladder_levels(config: DacConfig, fmt: FpFormat = E2M5) -> np.ndarray:
@@ -67,9 +61,9 @@ def ladder_levels(config: DacConfig, fmt: FpFormat = E2M5) -> np.ndarray:
 
 def dac_convert(code: FpCode, config: DacConfig) -> float:
     """Output voltage for one code: v_unit * decode(code), 0 V for zero."""
-    v = config.v_unit * fpcodec.decode(code) * (1.0 + config.gain_error)
-    if v >= config.v_supply:
-        raise DacSaturationError(f"DAC output {v:.3f} V exceeds the {config.v_supply} V supply")
+    v = config.v_unit * fpcodec.decode(code)
+    if v >= V_SUPPLY:
+        raise DacSaturationError(f"DAC output {v:.3f} V exceeds the {V_SUPPLY} V supply")
     return v
 
 
@@ -77,40 +71,6 @@ def dac_convert_bits(bits: np.ndarray, fmt: FpFormat, config: DacConfig) -> np.n
     """Vectorized conversion of 7-bit code patterns to voltages."""
     v = fpcodec.decode_bits(bits, fmt)  # a fresh array, scaled in place
     v *= config.v_unit
-    v *= 1.0 + config.gain_error
-    if v.size and float(np.max(v)) >= config.v_supply:
+    if v.size and float(np.max(v)) >= V_SUPPLY:
         raise DacSaturationError("DAC output exceeds the analog supply")
     return v
-
-
-def linearity_sweep(g_values, config: DacConfig, fmt: FpFormat = E2M5) -> list[dict]:
-    """Cell current for every code against each conductance.
-
-    Sweeps all 128 input patterns per conductance; within one exponent
-    group the current is an exact affine function of the mantissa code in
-    the ideal model.  Returns one row per (conductance, code).
-    """
-    rows = []
-    for g in g_values:
-        for bits in range(fmt.code_count):
-            code = FpCode.from_bits(bits, fmt)
-            current = dac_convert(code, config) * g
-            rows.append(
-                {
-                    "code_bits": code.bit_string(),
-                    "exponent": code.exponent,
-                    "mantissa": code.mantissa,
-                    "conductance_uS": g * 1e6,
-                    "current_uA": current * 1e6,
-                }
-            )
-    return rows
-
-
-def sweep_to_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["code_bits", "exponent", "mantissa", "conductance_uS", "current_uA"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)

@@ -35,8 +35,6 @@ __all__ = [
     "all_values",
     "quantize_tensor",
     "dequantize_tensor",
-    "int8_quantize",
-    "int8_dequantize",
 ]
 
 CODE_BITS = 7
@@ -164,41 +162,37 @@ def all_values(fmt: FpFormat) -> np.ndarray:
     return vals
 
 
-def encode(value: float, fmt: FpFormat = E2M5, mode: str = "nearest") -> EncodeResult:
-    """Encode a non-negative real to the closest code under the given mode.
+def encode(value: float, fmt: FpFormat = E2M5) -> EncodeResult:
+    """Encode a non-negative real to the nearest code.
 
-    ``nearest`` picks the decodable value (including 0) with minimum
-    distance, ties to the even mantissa (as ``np.rint``); mantissa overflow
-    carries into the exponent.  ``ceiling`` mirrors the ADC counter: values
-    below 1 flush to the zero code, otherwise the smallest code whose value
-    is >= the input is returned.
+    Picks the decodable value (including 0) with minimum distance, ties to
+    the even mantissa (as ``np.rint``); mantissa overflow carries into the
+    exponent.  The FP-ADC's ceiling readout is ``adc``'s own: it clamps at
+    the top mantissa instead of carrying.
 
     Values that flush to zero set the underflow flag; values above the
     format maximum clamp to the top code and set the overflow flag.
     """
     if value < 0 or not np.isfinite(value):
         raise ContractError(f"encode requires a finite non-negative value, got {value}")
-    bits, under, over = encode_values(np.array([value]), fmt, mode)
+    bits, under, over = encode_values(np.array([value]), fmt)
     return EncodeResult(FpCode.from_bits(int(bits[0]), fmt), bool(under[0]), bool(over[0]))
 
 
-def encode_values(values: np.ndarray, fmt: FpFormat = E2M5, mode: str = "nearest"):
-    """Vectorized encode of non-negative values.
+def encode_values(values: np.ndarray, fmt: FpFormat = E2M5):
+    """Vectorized round-to-nearest encode of non-negative values.
 
     Works on the float64 bit pattern ``u`` (as int64): with ``d = 52 - M``
     dropped mantissa bits, a value in [1, max_value] has the code
     ``((u + r) >> d) - (1023 << M)``, where the rounding constant ``r`` is
-    ``2^(d-1) - 1 + lsb`` for ``nearest`` (half to even, ``lsb`` the last
-    kept bit) and ``2^d - 1`` for ``ceiling``; a mantissa that rounds over
-    carries into the exponent through the add.  Values below 1 get no
-    non-zero code from that: ``nearest`` gives them (and the values that
-    round down onto the zero slot) code 1 when ``min_nonzero`` is the
-    closer of the two, ``ceiling`` leaves them at 0.
+    ``2^(d-1) - 1 + lsb`` (half to even, ``lsb`` the last kept bit); a
+    mantissa that rounds over carries into the exponent through the add.
+    Values below 1 get no non-zero code from that: they (and the values
+    that round down onto the zero slot) get code 1 when ``min_nonzero`` is
+    the closer of the two.
 
     Returns (code_bits uint8, underflow mask, overflow mask).
     """
-    if mode not in ("nearest", "ceiling"):
-        raise ContractError(f"unknown rounding mode {mode!r}")
     x = np.asarray(values, dtype=float)
     if x.size and not (np.min(x) >= 0 and np.max(x) < np.inf):  # min >= 0 also rejects NaN
         raise ContractError("encode requires finite non-negative values")
@@ -207,22 +201,18 @@ def encode_values(values: np.ndarray, fmt: FpFormat = E2M5, mode: str = "nearest
     # out= keeps a 0-d input an array, so the in-place steps below apply
     u = np.minimum(x, fmt.max_value, out=np.empty(x.shape)).view(np.int64)
     d = 52 - fmt.mantissa_bits
-    if mode == "nearest":
-        r = u >> d
-        r &= 1
-        r += (1 << (d - 1)) - 1
-        u += r
-    else:
-        u += (1 << d) - 1
+    r = u >> d
+    r &= 1
+    r += (1 << (d - 1)) - 1
+    u += r
     u >>= d
     u -= 1023 << fmt.mantissa_bits
     np.maximum(u, 0, out=u)  # below 1 (and +-0) lands on the zero code
     bits = u.astype(np.uint8)
 
-    if mode == "nearest":
-        # The (0,0) slot decodes to 0, not 1: values landing there must be
-        # re-judged against the nearest non-zero code, 1 + 2^-M.
-        bits[(bits == 0) & (fmt.min_nonzero - x < x)] = 1
+    # The (0,0) slot decodes to 0, not 1: values landing there must be
+    # re-judged against the nearest non-zero code, 1 + 2^-M.
+    bits[(bits == 0) & (fmt.min_nonzero - x < x)] = 1
 
     underflow = (bits == 0) & (x > 0)
     return bits, underflow, overflow
@@ -269,32 +259,10 @@ def quantize_tensor(values: np.ndarray, fmt: FpFormat = E2M5, scale: float | Non
     for lo in range(0, flat.size, _BLOCK):
         chunk = np.abs(flat[lo : lo + _BLOCK])
         chunk *= scale
-        codes[lo : lo + _BLOCK] = encode_values(chunk, fmt, mode="nearest")[0]
+        codes[lo : lo + _BLOCK] = encode_values(chunk, fmt)[0]
     return QuantResult(codes.reshape(x.shape), x < 0, QuantScale(scale))
 
 
 def dequantize_tensor(q: QuantResult, fmt: FpFormat = E2M5) -> np.ndarray:
     vals = decode_bits(q.codes, fmt) / q.scale.scale
-    return np.where(q.signs, -vals, vals)
-
-
-class Int8Result(NamedTuple):
-    codes: np.ndarray  # uint8
-    signs: np.ndarray
-    max_value: float
-
-
-def int8_quantize(values: np.ndarray, max_value: float | None = None) -> Int8Result:
-    """Uniform 256-level quantization of magnitudes over [0, max]."""
-    x = np.asarray(values, dtype=float)
-    if max_value is None:
-        max_value = float(np.max(np.abs(x))) if x.size else 0.0
-    if max_value <= 0:
-        return Int8Result(np.zeros(x.shape, dtype=np.uint8), x < 0, 1.0)
-    codes = np.rint(np.clip(np.abs(x) / max_value, 0.0, 1.0) * 255).astype(np.uint8)
-    return Int8Result(codes, x < 0, max_value)
-
-
-def int8_dequantize(q: Int8Result) -> np.ndarray:
-    vals = q.codes.astype(float) * (q.max_value / 255.0)
     return np.where(q.signs, -vals, vals)

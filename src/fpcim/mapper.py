@@ -14,8 +14,6 @@ accumulation.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -113,27 +111,6 @@ class TilePlan:
         for t in self.tiles:
             blocks.setdefault((t.col_start, t.col_stop), []).append(t)
         return [sorted(v, key=lambda t: t.row_start) for _, v in sorted(blocks.items())]
-
-    @property
-    def partial_sum_groups(self) -> list[list[int]]:
-        """Tile ids of every column block split over more than one row block."""
-        return [[t.id for t in block] for block in self.col_blocks() if len(block) > 1]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rows": self.rows,
-                "cols": self.cols,
-                "tiles": [dataclasses.asdict(t) for t in self.tiles],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TilePlan":
-        d = json.loads(text)
-        return cls(rows=d["rows"], cols=d["cols"], tiles=[Tile(**t) for t in d["tiles"]])
 
 
 def map_matrix(rows: int, cols: int) -> TilePlan:
@@ -268,8 +245,11 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
     ``input_bits`` covers all matrix rows, (rows,) or (rows, n), and
     ``signs``, if given, is an array-like of the same shape.  Raw per-tile
     dot products of one column block are summed in double precision and
-    scaled back by the block's weight scale once.
+    scaled back by the block's weight scale once.  ``bank`` must have been
+    built for ``plan``: the same object or an equal plan.
     """
+    if bank.plan != plan:
+        raise ContractError("bank was programmed for another plan")
     bits, signs, single = batch_inputs(input_bits, signs)
     if bits.shape[0] != plan.rows:
         raise ContractError(f"plan expects {plan.rows} input rows, got {bits.shape[0]}")

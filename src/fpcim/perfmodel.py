@@ -12,8 +12,6 @@ reproduces those throughput numbers exactly.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +29,6 @@ __all__ = [
     "efficiency",
     "adc_comparison",
     "total_comparison",
-    "report_to_csv",
-    "report_to_json",
     "DEFAULT_PARAMS",
     "LATENCY_NS",
 ]
@@ -164,36 +160,3 @@ def total_comparison(params: EnergyParams = DEFAULT_PARAMS) -> list[PerfReport]:
         total = params.total(label)
         out.append(PerfReport(label, latency, tp, total, tp / total, params.blocks[label]))
     return out
-
-
-def report_to_csv(reports: list[PerfReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["format", "latency_ns", "throughput_gops", "total_power_mw",
-             "efficiency_tops_per_w", "dac_mw", "array_mw", "adc_mw", "digital_mw"]
-        )
-        for r in reports:
-            writer.writerow(
-                [r.format, f"{r.latency * 1e9:.1f}", f"{r.throughput / 1e9:.2f}",
-                 f"{r.total_power * 1e3:.3f}", f"{r.efficiency / 1e12:.3f}",
-                 f"{r.blocks.dac * 1e3:.3f}", f"{r.blocks.array * 1e3:.3f}",
-                 f"{r.blocks.adc * 1e3:.3f}", f"{r.blocks.digital * 1e3:.3f}"]
-            )
-
-
-def report_to_json(reports: list[PerfReport], path) -> None:
-    payload = [
-        {
-            "format": r.format,
-            "latency_s": r.latency,
-            "throughput_ops": r.throughput,
-            "total_power_w": r.total_power,
-            "efficiency_ops_per_j": r.efficiency,
-            "blocks_w": {"dac": r.blocks.dac, "array": r.blocks.array,
-                         "adc": r.blocks.adc, "digital": r.blocks.digital},
-        }
-        for r in reports
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)

@@ -25,9 +25,6 @@ __all__ = [
     "ConductancePair",
     "program_weights",
     "weight_levels",
-    "mac_currents",
-    "export_conductance_csv",
-    "import_conductance_csv",
 ]
 
 # Macro geometry: rows (wordlines) by differential column pairs.
@@ -140,25 +137,3 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
             np.multiply(q, on, out=plane)
             plane += model.g_min
     return ConductancePair(g[0], g[1])
-
-
-def mac_currents(v_in: np.ndarray, g: np.ndarray, v_clamp: float = 0.0) -> np.ndarray:
-    """Per-column MAC currents ``I_j = sum_i (v_in[i] - v_clamp) * g[i, j]``.
-
-    ``v_in`` may be a single row-voltage vector or a (rows, n) batch; the
-    result is (cols,) or (n, cols) accordingly.
-    """
-    v = np.asarray(v_in, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if v.shape[0] != g.shape[0]:
-        raise ContractError(f"{v.shape[0]} row voltages for {g.shape[0]} crossbar rows")
-    return (v - v_clamp).T @ g
-
-
-def export_conductance_csv(g: np.ndarray, path) -> None:
-    """Row-major conductance dump in siemens."""
-    np.savetxt(path, g, fmt="%.9e", delimiter=",", newline="\r\n")
-
-
-def import_conductance_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)

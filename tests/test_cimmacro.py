@@ -14,7 +14,7 @@ from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
 from fpcim.dac import DacConfig, dac_convert, dac_convert_bits
 from fpcim.errors import ContractError, DacSaturationError
 from fpcim.fpcodec import E2M5, E3M4, FpCode, decode, decode_bits
-from fpcim.xbar import DeviceModel, mac_currents, program_weights, weight_levels
+from fpcim.xbar import DeviceModel, program_weights, weight_levels
 
 
 def small_config(g_min=0.5e-6):
@@ -60,7 +60,7 @@ def test_single_active_row_matches_explicit_chain():
     bits[1] = code.to_bits()
 
     volts = dac_convert(code, cfg.dac)
-    current = mac_currents(np.array([0.0, volts, 0.0, 0.0]), weights.g_pos)[0]
+    current = (np.array([0.0, volts, 0.0, 0.0]).T @ weights.g_pos)[0]
     oracle = convert_analytic(float(current), cfg.adc, cfg.fmt)
     expected_dot = decode(oracle.code) * cfg.adc.v_mid / scale_chain(cfg)
 
@@ -206,8 +206,8 @@ def test_int8_readout_matches_baseline_converter():
     res = macro_mac(bits, weights, cfg, readout="int8")
 
     volts = dac_convert_bits(bits, cfg.fmt, cfg.dac)
-    pos, under_p, sat_p = int8_baseline_convert(mac_currents(volts, weights.g_pos), cfg.adc)
-    neg, under_n, sat_n = int8_baseline_convert(mac_currents(volts, weights.g_neg), cfg.adc)
+    pos, under_p, sat_p = int8_baseline_convert(volts.T @ weights.g_pos, cfg.adc)
+    neg, under_n, sat_n = int8_baseline_convert(volts.T @ weights.g_neg, cfg.adc)
     np.testing.assert_array_equal(res.pos_bits, pos)
     np.testing.assert_array_equal(res.neg_bits, neg)
     np.testing.assert_array_equal(res.underflow, under_p & under_n)

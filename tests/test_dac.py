@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from fpcim.cimmacro import MacroConfig, _column_currents
 from fpcim.dac import (
     DacConfig,
     dac_convert,
     dac_convert_bits,
     ladder_levels,
-    linearity_sweep,
-    sweep_to_csv,
 )
 from fpcim.errors import DacSaturationError
 from fpcim.fpcodec import E2M5, FpCode, decode
+from fpcim.xbar import ConductancePair
 
 CFG = DacConfig(v_unit=0.1)
 
@@ -68,65 +68,37 @@ def test_vectorized_matches_scalar():
         assert v[b] == dac_convert(FpCode.from_bits(int(b), E2M5), CFG)
 
 
-def test_gain_error_knob():
-    cfg = DacConfig(v_unit=0.1, gain_error=0.01)
-    assert dac_convert(FpCode(0, 0), cfg) == 0.0
-    assert dac_convert(FpCode(2, 30), cfg) == pytest.approx(0.775 * 1.01, rel=1e-12)
-
-
 # ---------------------------------------------------------------- sweep
+# Every code through the vectorized DAC and, for the conductance ratios,
+# through the macro's crossbar (``cimmacro._column_currents``).
 
 G_VALUES = [20e-6, 18e-6, 15e-6, 12e-6]
+SWEEP = dac_convert_bits(np.arange(128), E2M5, CFG)
 
 
 def test_sweep_shape_and_zero_code():
-    rows = linearity_sweep(G_VALUES, CFG, E2M5)
-    assert len(rows) == 4 * 128
-    zero_rows = [r for r in rows if r["code_bits"] == "0000000"]
-    assert len(zero_rows) == 4
-    assert all(r["current_uA"] == 0.0 for r in zero_rows)
+    assert SWEEP.shape == (128,)
+    assert SWEEP[0] == 0.0
 
 
 def test_sweep_known_point():
-    rows = linearity_sweep([20e-6], CFG, E2M5)
-    row = next(r for r in rows if r["code_bits"] == "1011110")
-    assert row["current_uA"] == pytest.approx(15.5, rel=1e-12)  # 0.775 V * 20 uS
+    assert SWEEP[0b1011110] == pytest.approx(0.775, rel=1e-15)
 
 
 def test_sweep_four_affine_groups():
-    rows = linearity_sweep(G_VALUES, CFG, E2M5)
-    for g in G_VALUES:
-        for e in range(4):
-            grp = [r for r in rows if r["conductance_uS"] == g * 1e6 and r["exponent"] == e]
-            grp = [r for r in grp if not (e == 0 and r["mantissa"] == 0)]  # zero code aside
-            m = np.array([r["mantissa"] for r in grp])
-            i = np.array([r["current_uA"] for r in grp])
-            # exact affine relation: residual of a linear fit is zero
-            coeffs = np.polyfit(m, i, 1)
-            resid = i - np.polyval(coeffs, m)
-            assert np.max(np.abs(resid)) < 1e-9 * np.max(i)
+    m = np.arange(32)
+    for e in range(4):
+        start = 1 if e == 0 else 0  # (0, 0) is the zero code
+        # exactly the line v_unit * 2^e * (1 + m / 32), slope v_unit * 2^e / 32
+        line = CFG.v_unit * 2.0**e * (1.0 + m / 32)
+        np.testing.assert_array_equal(SWEEP[e * 32 : (e + 1) * 32][start:], line[start:])
 
 
 def test_sweep_group_slope_ratios_match_conductances():
-    rows = linearity_sweep(G_VALUES, CFG, E2M5)
-
-    def slope(g, e):
-        grp = [r for r in rows if r["conductance_uS"] == g * 1e6 and r["exponent"] == e]
-        grp = [r for r in grp if not (e == 0 and r["mantissa"] == 0)]
-        m = np.array([r["mantissa"] for r in grp])
-        i = np.array([r["current_uA"] for r in grp])
-        return np.polyfit(m, i, 1)[0]
-
+    g = np.array([G_VALUES])
+    pair = ConductancePair(g, np.zeros_like(g))
+    currents = _column_currents(np.arange(128)[None, :], None, pair, MacroConfig())[0]
+    m = np.arange(1, 32)
     for e in range(4):
-        s0 = slope(G_VALUES[0], e)
-        for g in G_VALUES[1:]:
-            assert slope(g, e) / s0 == pytest.approx(g / G_VALUES[0], rel=1e-9)
-
-
-def test_sweep_csv_columns(tmp_path):
-    rows = linearity_sweep([20e-6], CFG, E2M5)
-    path = tmp_path / "sweep.csv"
-    sweep_to_csv(rows, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "code_bits,exponent,mantissa,conductance_uS,current_uA"
-    assert len(path.read_text().splitlines()) == 129
+        slopes = [np.polyfit(m, currents[e * 32 + 1 : (e + 1) * 32, j], 1)[0] for j in range(4)]
+        np.testing.assert_allclose(np.divide(slopes, slopes[0]), g[0] / g[0, 0], rtol=1e-9)

@@ -16,8 +16,6 @@ from fpcim.fpcodec import (
     dequantize_tensor,
     encode,
     encode_values,
-    int8_dequantize,
-    int8_quantize,
     QuantResult,
     QuantScale,
     quantize_tensor,
@@ -97,12 +95,9 @@ def test_all_values_table_is_read_only():
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_round_trip_exhaustive(fmt):
     for bits in range(128):
-        v = decode(FpCode.from_bits(bits, fmt))
-        for mode in ("nearest", "ceiling"):
-            res = encode(v, fmt, mode)
-            assert res.code.to_bits() == bits, (bits, mode)
-            assert not res.overflow
-            assert res.underflow == (bits == 0 and False)
+        res = encode(decode(FpCode.from_bits(bits, fmt)), fmt)
+        assert res.code.to_bits() == bits, bits
+        assert not res.overflow and not res.underflow
 
 
 def test_encode_exact_value():
@@ -133,27 +128,6 @@ def test_encode_small_values_flush_to_zero():
     # above the zero/min-code midpoint the nearest code is non-zero
     res = encode(0.6, E2M5)
     assert res.code.to_bits() == 1 and not res.underflow
-
-
-def test_encode_ceiling_mode():
-    # hardware counter semantics: below 1 nothing is read out
-    assert encode(0.9, E2M5, "ceiling").code.is_zero
-    assert encode(0.9, E2M5, "ceiling").underflow
-    res = encode(5.0001, E2M5, "ceiling")
-    assert decode(res.code) == 5.125
-    # exact values stay put
-    assert decode(encode(5.125, E2M5, "ceiling").code) == 5.125
-    # mantissa overflow carries into the exponent
-    assert decode(encode(1.99, E2M5, "ceiling").code) == 2.0
-
-
-def test_encode_values_rejects_unknown_mode():
-    # a misspelt mode must not fall through to ceiling, which gives [2, 74]
-    with pytest.raises(ContractError, match="nearst"):
-        encode_values(np.array([1.04, 5.13]), E2M5, mode="nearst")
-    with pytest.raises(ContractError, match="nearst"):
-        encode(1.04, E2M5, mode="nearst")
-    np.testing.assert_array_equal(encode_values(np.array([1.04, 5.13]), E2M5)[0], [1, 73])
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
@@ -300,36 +274,9 @@ def test_quantizer_mse_against_bruteforce_oracle():
     mse = float(np.mean((x - dequantize_tensor(q, E2M5)) ** 2))
     assert mse == pytest.approx(oracle_mse, rel=1e-12)
 
-    # frozen oracle values for this seed (magnitude documented for the
-    # format comparison): the hardware format's flush-to-zero region
-    # dominates on zero-centered data
+    # frozen oracle value for this seed: the hardware format's
+    # flush-to-zero region dominates on zero-centered data
     assert oracle_mse == pytest.approx(8.0976e-3, rel=1e-3)
-    i8 = int8_quantize(x)
-    mse_i8 = float(np.mean((x - int8_dequantize(i8)) ** 2))
-    assert mse_i8 == pytest.approx(7.644e-5, rel=1e-3)
-
-
-# ---------------------------------------------------------------- int8
-
-def test_int8_endpoints():
-    q = int8_quantize(np.array([0.0, 4.0]), max_value=4.0)
-    assert q.codes[0] == 0 and q.codes[1] == 255
-    np.testing.assert_array_equal(int8_dequantize(q), [0.0, 4.0])
-
-
-def test_int8_half_lsb_bound():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-3, 3, 10_000)
-    q = int8_quantize(x)
-    err = np.abs(x - int8_dequantize(q))
-    lsb = q.max_value / 255
-    assert np.max(err) <= 0.5 * lsb * (1 + 1e-12)
-
-
-def test_int8_zero_tensor():
-    q = int8_quantize(np.zeros(3))
-    assert np.all(q.codes == 0)
-    np.testing.assert_array_equal(int8_dequantize(q), np.zeros(3))
 
 
 # ---------------------------------------------------------------- codes

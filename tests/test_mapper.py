@@ -9,7 +9,6 @@ from fpcim.fpcodec import E2M5, decode_bits
 from fpcim.mapper import (
     LayerSpec,
     MacroBank,
-    TilePlan,
     conv_output_shape,
     execute_plan,
     im2col,
@@ -47,18 +46,23 @@ def direct_conv(x, w, stride=1, padding=0):
 
 # ---------------------------------------------------------------- tiling
 
+def row_split_ids(plan):
+    """Tile ids of every column block split over more than one row block."""
+    return [[t.id for t in b] for b in plan.col_blocks() if len(b) > 1]
+
+
 def test_map_conv_single_tile_fills_array():
     plan = map_conv(LayerSpec.conv(64, 3, 128))
     assert (plan.rows, plan.cols) == (576, 128)
     assert len(plan.tiles) == 1
-    assert plan.partial_sum_groups == []
+    assert row_split_ids(plan) == []
 
 
 def test_map_conv_row_split():
     plan = map_conv(LayerSpec.conv(128, 3, 128))
     assert plan.rows == 1152
     assert len(plan.tiles) == 2
-    assert plan.partial_sum_groups == [[0, 1]]
+    assert row_split_ids(plan) == [[0, 1]]
 
 
 def test_map_conv_small():
@@ -70,14 +74,14 @@ def test_map_conv_small():
 def test_map_fc_mirrors_conv():
     assert len(map_fc(LayerSpec.fc(576, 128)).tiles) == 1
     plan = map_fc(LayerSpec.fc(1152, 128))
-    assert len(plan.tiles) == 2 and plan.partial_sum_groups == [[0, 1]]
+    assert len(plan.tiles) == 2 and row_split_ids(plan) == [[0, 1]]
     assert len(map_fc(LayerSpec.fc(27, 16)).tiles) == 1
 
 
 def test_map_column_split():
     plan = map_matrix(100, 600)
     assert len(plan.tiles) == 3  # ceil(600/256)
-    assert plan.partial_sum_groups == []
+    assert row_split_ids(plan) == []
     spans = sorted((t.col_start, t.col_stop) for t in plan.tiles)
     assert spans == [(0, 256), (256, 512), (512, 600)]
 
@@ -92,19 +96,11 @@ def test_tiles_cover_matrix_exactly_once(rows, cols):
         cover[t.row_start : t.row_stop, t.col_start : t.col_stop] += 1
     assert np.all(cover == 1)
     # every row-split tile belongs to exactly one partial-sum group
-    grouped = [tid for g in plan.partial_sum_groups for tid in g]
+    grouped = [tid for g in row_split_ids(plan) for tid in g]
     assert len(grouped) == len(set(grouped))
     n_row_blocks = int(np.ceil(rows / 576))
     if n_row_blocks > 1:
         assert len(grouped) == len(plan.tiles)
-
-
-def test_plan_json_round_trip():
-    plan = map_conv(LayerSpec.conv(128, 3, 300))
-    back = TilePlan.from_json(plan.to_json())
-    assert back.tiles == plan.tiles
-    assert back.partial_sum_groups == plan.partial_sum_groups
-    assert (back.rows, back.cols) == (plan.rows, plan.cols)
 
 
 # ---------------------------------------------------------------- im2col
@@ -237,6 +233,18 @@ def test_missing_macro_raises():
     bank = MacroBank(plan, cfg)  # nothing programmed
     with pytest.raises(ContractError):
         execute_plan(plan, np.zeros(4, dtype=np.uint8), bank)
+
+
+def test_bank_built_for_another_plan_rejected():
+    cfg = MacroConfig(device=ideal_device())
+    bank = MacroBank.build(map_matrix(4, 1), np.ones((4, 1)), cfg)
+    bits = np.ones((4, 3), dtype=np.uint8)
+    # one tile of the same id but 5 columns: column 0 used to fill all five
+    with pytest.raises(ContractError, match="another plan"):
+        execute_plan(map_matrix(4, 5), bits, bank)
+    # an equal plan that is another object is accepted
+    res = execute_plan(map_matrix(4, 1), bits, bank, readout="identity")
+    assert res.values.shape == (3, 1)
 
 
 def test_weight_scale_normalizes_block():

@@ -1,25 +1,39 @@
-"""Every entry point and data file that pyproject.toml declares exists."""
+"""Every entry point, data file and exported name the package declares exists."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+import fpcim
 
 ROOT = Path(__file__).resolve().parents[1]
-META = tomllib.loads((ROOT / "pyproject.toml").read_text())
-SETUPTOOLS = META.get("tool", {}).get("setuptools", {})
+MODULES = ["fpcim"] + [f"fpcim.{m.name}" for m in pkgutil.iter_modules(fpcim.__path__)]
 
 
-def test_script_targets_import():
-    for name, target in META["project"].get("scripts", {}).items():
+@pytest.fixture(scope="module")
+def meta():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())
+
+
+def test_script_targets_import(meta):
+    for name, target in meta["project"].get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def test_package_data_globs_match_files():
-    src = ROOT.joinpath(*SETUPTOOLS.get("packages", {}).get("find", {}).get("where", ["."]))
-    for package, globs in SETUPTOOLS.get("package-data", {}).items():
+def test_package_data_globs_match_files(meta):
+    setuptools = meta.get("tool", {}).get("setuptools", {})
+    src = ROOT.joinpath(*setuptools.get("packages", {}).get("find", {}).get("where", ["."]))
+    for package, globs in setuptools.get("package-data", {}).items():
         for pattern in globs:
             assert any(src.joinpath(*package.split(".")).glob(pattern)), f"{package}: {pattern}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes: {missing}"

@@ -10,8 +10,6 @@ from fpcim.perfmodel import (
     EnergyParams,
     adc_comparison,
     efficiency,
-    report_to_csv,
-    report_to_json,
     throughput,
     throughput_from,
     total_comparison,
@@ -84,6 +82,8 @@ def test_adc_comparison_ratios():
 def test_total_comparison_rows_and_ranking():
     rows = total_comparison()
     assert [r.format for r in rows] == ["E2M5", "E3M4", "INT8"]
+    assert rows[0].throughput == pytest.approx(1474.56e9, rel=1e-12)
+    assert rows[0].efficiency == pytest.approx(19.89e12, rel=1e-12)
     eff = {r.format: r.efficiency for r in rows}
     assert eff["E2M5"] > eff["E3M4"] > eff["INT8"]
     for r in rows:
@@ -114,18 +114,3 @@ def test_zero_power_rejected():
     zero = EnergyParams({"E2M5": BlockPowers(0, 0, 0, 0)})
     with pytest.raises(ConfigError):
         efficiency(MacroConfig(), zero, label="E2M5")
-
-
-def test_report_outputs(tmp_path):
-    rows = total_comparison()
-    csv_path, json_path = tmp_path / "perf.csv", tmp_path / "perf.json"
-    report_to_csv(rows, csv_path)
-    report_to_json(rows, json_path)
-    lines = csv_path.read_text().splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("format,latency_ns,throughput_gops")
-    assert "1474.56" in lines[1] and "19.89" in lines[1]
-    import json
-
-    payload = json.loads(json_path.read_text())
-    assert [p["format"] for p in payload] == ["E2M5", "E3M4", "INT8"]

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpcim.cimmacro import MacroConfig, _column_currents, macro_mac
 from fpcim.errors import ContractError
 from fpcim.xbar import (
     ConductancePair,
     DeviceModel,
-    export_conductance_csv,
-    import_conductance_csv,
-    mac_currents,
     program_weights,
     weight_levels,
 )
@@ -73,51 +71,65 @@ def test_programming_noise_seeded_and_clamped():
 
 
 # ---------------------------------------------------------------- currents
+# The macro's crossbar currents (``cimmacro._column_currents``): codes
+# through the default E2M5 DAC (0.1 V per unit), Ohm's law per cell and
+# Kirchhoff's current law per column.
+
+def column_currents(bits, g):
+    """(n, cols) currents of a (rows, cols) conductance plane for (rows, n) codes."""
+    g = np.asarray(g, dtype=float)
+    bits = np.asarray(bits, dtype=np.uint8).reshape(g.shape[0], -1)
+    return _column_currents(bits, None, ConductancePair(g, np.zeros_like(g)), MacroConfig())[0]
+
 
 def test_single_cell_ohms_law():
-    i = mac_currents(np.array([0.25]), np.array([[20e-6]]))
-    assert i[0] == pytest.approx(5e-6, rel=1e-15)
+    i = column_currents([0b0101000], [[20e-6]])  # code 2.5: 0.25 V
+    assert i[0, 0] == pytest.approx(5e-6, rel=1e-15)
 
 
 def test_zero_voltages_zero_currents():
-    i = mac_currents(np.zeros(4), np.full((4, 3), 10e-6))
-    np.testing.assert_array_equal(i, np.zeros(3))
+    i = column_currents(np.zeros(4), np.full((4, 3), 10e-6))
+    np.testing.assert_array_equal(i, np.zeros((1, 3)))
 
 
 def test_four_row_column_sum():
-    # brute-force dot product: 2.0 + 3.6 + 4.5 + 4.8 uA
-    v = np.array([0.1, 0.2, 0.3, 0.4])
+    # codes 1.5, 2, 3, 4 drive 0.15, 0.2, 0.3, 0.4 V: 3.0 + 3.6 + 4.5 + 4.8 uA
+    v = np.array([0.15, 0.2, 0.3, 0.4])
     g = np.array([[20e-6], [18e-6], [15e-6], [12e-6]])
     oracle = math.fsum(vi * gi for vi, gi in zip(v, g[:, 0]))
-    assert oracle == pytest.approx(14.9e-6, rel=1e-12)
-    assert mac_currents(v, g)[0] == pytest.approx(oracle, rel=1e-12)
+    assert oracle == pytest.approx(15.9e-6, rel=1e-12)
+    i = column_currents([0b0010000, 0b0100000, 0b0110000, 0b1000000], g)
+    assert i[0, 0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_dimension_mismatch():
+    pair = ConductancePair(np.zeros((4, 2)), np.zeros((4, 2)))
     with pytest.raises(ContractError):
-        mac_currents(np.zeros(3), np.zeros((4, 2)))
+        macro_mac(np.zeros(3, dtype=np.uint8), pair, MacroConfig())
 
 
 def test_batched_currents_match_loop():
     rng = np.random.default_rng(0)
-    v = rng.uniform(0, 1, (5, 7))  # 5 rows, 7 input vectors
+    bits = rng.integers(0, 128, (5, 7))  # 5 rows, 7 input vectors
     g = rng.uniform(1e-6, 20e-6, (5, 4))
-    batched = mac_currents(v, g)
+    batched = column_currents(bits, g)
     for k in range(7):
-        np.testing.assert_allclose(batched[k], mac_currents(v[:, k], g), rtol=1e-15)
+        np.testing.assert_allclose(batched[k], column_currents(bits[:, k], g)[0], rtol=1e-15)
 
 
 @settings(max_examples=100, derandomize=True)
 @given(
-    st.lists(st.floats(0, 1), min_size=3, max_size=3),
-    st.lists(st.floats(0, 1), min_size=3, max_size=3),
-    st.floats(0.1, 2.0),
+    st.lists(st.integers(0, 127), min_size=3, max_size=3),
+    st.lists(st.integers(0, 127), min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=3, max_size=3),
 )
-def test_linearity_superposition(v1, v2, alpha):
+def test_linearity_superposition(c1, c2, mask):
+    # rows driven apart add up to the rows driven together
     g = np.array([[20e-6, 5e-6], [18e-6, 7e-6], [12e-6, 9e-6]])
-    a, b = np.array(v1), np.array(v2)
-    lhs = mac_currents(a + alpha * b, g)
-    rhs = mac_currents(a, g) + alpha * mac_currents(b, g)
+    a = np.where(mask, c1, 0)
+    b = np.where(mask, 0, c2)
+    lhs = column_currents(a + b, g)
+    rhs = column_currents(a, g) + column_currents(b, g)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-18)
 
 
@@ -126,24 +138,16 @@ def test_differential_cancellation():
     w = np.array([[0.4, -0.8], [0.1, 0.6]])
     fwd = program_weights(w, NOISELESS)
     rev = program_weights(-w, NOISELESS)
-    v = np.array([0.3, 0.7])
-    np.testing.assert_array_equal(mac_currents(v, fwd.g_pos), mac_currents(v, rev.g_neg))
-    np.testing.assert_array_equal(mac_currents(v, fwd.g_neg), mac_currents(v, rev.g_pos))
+    np.testing.assert_array_equal(fwd.g_pos, rev.g_neg)
+    np.testing.assert_array_equal(fwd.g_neg, rev.g_pos)
 
 
 def test_zero_g_min_sparsity():
+    # a zero weight on a g_min = 0 device is no conductance at all
     model = DeviceModel(g_min=0.0, g_max=20e-6, levels=16)
     pair = program_weights(np.array([[0.0], [1.0]]), model)
-    i = mac_currents(np.array([0.5, 0.0]), pair.g_pos)
-    assert i[0] == 0.0  # zero weight and zero input contribute nothing
-
-
-def test_conductance_csv_round_trip(tmp_path):
-    pair = program_weights(np.array([[0.5, -0.25], [1.0, 0.0]]), NOISELESS)
-    path = tmp_path / "g.csv"
-    export_conductance_csv(pair.g_pos, path)
-    back = import_conductance_csv(path)
-    np.testing.assert_allclose(back, pair.g_pos, rtol=1e-8)
+    assert pair.g_pos[0, 0] == 0.0 and pair.g_neg[0, 0] == 0.0
+    assert pair.g_pos[1, 0] == 20e-6
 
 
 def test_device_model_validation():
