@@ -228,8 +228,9 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat =
     u >>= d
     np.minimum(u, top, out=u)
     u -= 1023 << fmt.mantissa_bits
-    codes = u.astype(np.uint8)
-    return codes, underflow, saturated, all_values(fmt).take(codes)
+    # the table is read with the int64 codes: uint8 ones would first be
+    # copied to intp by take
+    return u.astype(np.uint8), underflow, saturated, all_values(fmt).take(u)
 
 
 def _current_segments(i_of_t, t_int: float) -> list[tuple[float, float, float]]:

@@ -113,10 +113,15 @@ def _levels_from_pair(weights: ConductancePair, device: DeviceModel) -> np.ndarr
 
 def batch_inputs(input_bits, signs=None):
     """(codes, signs or None, single): integer codes and bool signs of the
-    same shape as (rows, n) batches, and whether the input was one vector."""
+    same shape as (rows, n) batches, and whether the input was one vector.
+
+    The codes must be one vector (rows,) or a batch (rows, n).
+    """
     bits = np.asarray(input_bits)
     if not np.issubdtype(bits.dtype, np.integer):
         raise ContractError(f"input codes must have an integer dtype, not {bits.dtype}")
+    if bits.ndim not in (1, 2):
+        raise ContractError(f"input codes must be (rows,) or (rows, n), not {bits.shape}")
     if signs is not None:
         signs = np.asarray(signs, dtype=bool)
         if signs.shape != bits.shape:

@@ -182,22 +182,36 @@ def encode(value: float, fmt: FpFormat = E2M5) -> EncodeResult:
 def encode_values(values: np.ndarray, fmt: FpFormat = E2M5):
     """Vectorized round-to-nearest encode of non-negative values.
 
-    Works on the float64 bit pattern ``u`` (as int64): with ``d = 52 - M``
-    dropped mantissa bits, a value in [1, max_value] has the code
-    ``((u + r) >> d) - (1023 << M)``, where the rounding constant ``r`` is
-    ``2^(d-1) - 1 + lsb`` (half to even, ``lsb`` the last kept bit); a
-    mantissa that rounds over carries into the exponent through the add.
-    Values below 1 get no non-zero code from that: they (and the values
-    that round down onto the zero slot) get code 1 when ``min_nonzero`` is
-    the closer of the two.
+    The codes are ``_encode_codes``'s; the flags are added here: values
+    that land on the zero code but are not 0 underflow, values above
+    ``max_value`` overflow (their code is the top one).
 
     Returns (code_bits uint8, underflow mask, overflow mask).
     """
     x = np.asarray(values, dtype=float)
     if x.size and not (np.min(x) >= 0 and np.max(x) < np.inf):  # min >= 0 also rejects NaN
         raise ContractError("encode requires finite non-negative values")
+    bits = _encode_codes(x, fmt)
+    underflow = (bits == 0) & (x > 0)
+    return bits, underflow, x > fmt.max_value
 
-    overflow = x > fmt.max_value
+
+def _encode_codes(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """Round-to-nearest codes (uint8) of finite non-negative float64 values, unchecked.
+
+    Works on the float64 bit pattern ``u`` (as int64): with ``d = 52 - M``
+    dropped mantissa bits, a value in [1, max_value] has the code
+    ``((u + r) >> d) - (1023 << M)``, where the rounding constant ``r`` is
+    ``2^(d-1) - 1 + lsb`` (half to even, ``lsb`` the last kept bit); a
+    mantissa that rounds over carries into the exponent through the add.
+    Values above ``max_value`` are clamped to it first.  Values below 1
+    (and +-0) get no positive code from that.  Those values, and the ones
+    that round down onto the zero slot, get code 1 when ``min_nonzero``
+    is the closer of 0 and ``min_nonzero``: when ``x > min_nonzero / 2``.
+    That equals the comparison ``min_nonzero - x < x``, because the
+    subtraction is exact for x in [min_nonzero / 2, 2 * min_nonzero]
+    (Sterbenz) and both sides are false below it.
+    """
     # out= keeps a 0-d input an array, so the in-place steps below apply
     u = np.minimum(x, fmt.max_value, out=np.empty(x.shape)).view(np.int64)
     d = 52 - fmt.mantissa_bits
@@ -207,28 +221,32 @@ def encode_values(values: np.ndarray, fmt: FpFormat = E2M5):
     u += r
     u >>= d
     u -= 1023 << fmt.mantissa_bits
-    np.maximum(u, 0, out=u)  # below 1 (and +-0) lands on the zero code
-    bits = u.astype(np.uint8)
-
-    # The (0,0) slot decodes to 0, not 1: values landing there must be
-    # re-judged against the nearest non-zero code, 1 + 2^-M.
-    bits[(bits == 0) & (fmt.min_nonzero - x < x)] = 1
-
-    underflow = (bits == 0) & (x > 0)
-    return bits, underflow, overflow
+    # The (0,0) slot decodes to 0, not 1: anything at or below it is 1 or 0.
+    np.maximum(u, x > fmt.min_nonzero / 2, out=u)
+    return u.astype(np.uint8)
 
 
 def decode_bits(bits: np.ndarray, fmt: FpFormat = E2M5) -> np.ndarray:
     """Vectorized decode of 7-bit code patterns through the ``all_values`` table.
 
     The codes must have an integer dtype; they index the table as they are.
+    The table is read in flat slices of ``_BLOCK`` codes into one float64
+    array: ``take`` first converts its indices to intp, 8 bytes per code,
+    and on a whole uint8 batch that copy is 8x the codes, fresh pages
+    every call.
     """
     b = np.asarray(bits)
     if not np.issubdtype(b.dtype, np.integer):
         raise ContractError(f"codes must have an integer dtype, not {b.dtype}")
     if b.size and (b.min() < 0 or b.max() >= (1 << CODE_BITS)):
         raise ContractError("code bits out of 7-bit range")
-    return all_values(fmt).take(b)
+    table = all_values(fmt)
+    out = np.empty(b.shape)
+    flat, flat_out = b.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK):
+        # "raise" would buffer out; the range is checked above, so "clip" moves no index
+        table.take(flat[lo : lo + _BLOCK], out=flat_out[lo : lo + _BLOCK], mode="clip")
+    return out
 
 
 class QuantResult(NamedTuple):
@@ -244,22 +262,30 @@ def quantize_tensor(values: np.ndarray, fmt: FpFormat = E2M5, scale: float | Non
     each element is then encoded round-to-nearest.  Signs are stored out
     of band.  An all-zero tensor gets scale 1 and all-zero codes.
 
-    The tensor is encoded in flat blocks of ``_BLOCK`` elements into one
-    code array; encoding is elementwise, so the codes do not depend on the
-    block size.
+    The tensor is checked once: its values must be finite, the scale
+    finite and positive, and the scaled max-abs finite.  It is then
+    encoded in flat blocks of ``_BLOCK`` elements into one code array by
+    the codes-only encoder, with no per-block checks and no flags;
+    encoding is elementwise, so the codes do not depend on the block size.
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ContractError("cannot quantize an empty tensor")
+    max_abs = float(max(np.max(x), -np.min(x)))  # NaN and inf propagate
+    if not max_abs < np.inf:
+        raise ContractError(f"quantize requires finite values, max-abs is {max_abs}")
     if scale is None:
-        max_abs = float(max(np.max(x), -np.min(x)))
         scale = fmt.max_value / max_abs if max_abs > 0 else 1.0
+    if not 0 < scale < np.inf:
+        raise ContractError(f"quantization scale must be finite and positive, got {scale}")
+    if not scale * max_abs < np.inf:
+        raise ContractError(f"quantization scale {scale} takes max-abs {max_abs} beyond float64")
     flat = x.reshape(-1)
     codes = np.empty(flat.size, dtype=np.uint8)
     for lo in range(0, flat.size, _BLOCK):
         chunk = np.abs(flat[lo : lo + _BLOCK])
         chunk *= scale
-        codes[lo : lo + _BLOCK] = encode_values(chunk, fmt)[0]
+        codes[lo : lo + _BLOCK] = _encode_codes(chunk, fmt)
     return QuantResult(codes.reshape(x.shape), x < 0, QuantScale(scale))
 
 

@@ -44,8 +44,9 @@ class DeviceModel:
     def __post_init__(self):
         if not 0 <= self.g_min < self.g_max:
             raise ContractError("need 0 <= g_min < g_max")
-        if self.levels is not None and self.levels < 2:
-            raise ContractError("need at least 2 conductance levels")
+        if self.levels is not None and not (isinstance(self.levels, (int, np.integer))
+                                            and self.levels >= 2):
+            raise ContractError(f"levels must be an integer >= 2 or None, got {self.levels!r}")
         if self.sigma_rel < 0:
             raise ContractError("sigma_rel must be non-negative")
 

@@ -183,6 +183,11 @@ def test_shape_contracts():
         macro_mac(np.zeros(3, dtype=np.uint8), weights, cfg)
     with pytest.raises(ContractError):
         macro_mac(np.zeros(4, dtype=np.uint8), weights, cfg, readout="bogus")
+    # codes are one vector or a (rows, n) batch: a scalar or a 3-D array is no batch
+    with pytest.raises(ContractError):
+        macro_mac(np.uint8(3), weights, cfg)
+    with pytest.raises(ContractError):
+        macro_mac(np.zeros((4, 2, 2), dtype=np.uint8), weights, cfg)
 
 
 def test_e3m4_macro_config():

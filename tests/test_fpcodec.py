@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,44 @@ def test_non_integer_codes_rejected(decoder):
         decoder(np.array([3.7, 33.9]))
     with pytest.raises(ContractError):
         decoder(np.array([3.0, 33.0]))
+
+
+BLOCK_SIZES = [0, 1, fpcodec._BLOCK - 1, fpcodec._BLOCK, fpcodec._BLOCK + 1,
+               3 * fpcodec._BLOCK + 5]
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+def test_decode_bits_blocks_match_table_index(fmt, dtype):
+    rng = np.random.default_rng(7)
+    table = all_values(fmt)
+    for size in BLOCK_SIZES:
+        b = rng.integers(0, 128, size).astype(dtype)
+        got = decode_bits(b, fmt)
+        assert got.dtype == np.float64 and got.shape == b.shape
+        np.testing.assert_array_equal(got, table[b])
+    scalar = np.array(93, dtype=dtype)
+    assert decode_bits(scalar, fmt).shape == ()
+    assert decode_bits(scalar, fmt) == table[93]
+    # a non-contiguous 2-D view spanning several blocks
+    grid = rng.integers(0, 128, (400, 401)).astype(dtype)
+    view = grid[::2, 1::2]
+    assert not view.flags.c_contiguous and view.size > 2 * fpcodec._BLOCK
+    np.testing.assert_array_equal(decode_bits(view, fmt), table[view])
+
+
+def test_decode_bits_peak_memory_stays_near_its_output():
+    # a whole-batch take on uint8 codes first copies them to intp (8 bytes
+    # a code): a peak of 2x the float64 output on a 144x1024 cnn tile
+    b = np.random.default_rng(3).integers(0, 128, (144, 1024)).astype(np.uint8)
+    decode_bits(b, E2M5)  # builds the cached table outside the traced call
+    tracemalloc.start()
+    try:
+        out = decode_bits(b, E2M5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * out.nbytes
 
 
 def test_all_values_table_is_read_only():
@@ -210,6 +251,54 @@ def test_encode_monotone_property(a, b):
     assert decode(encode(lo, E2M5).code) <= decode(encode(hi, E2M5).code)
 
 
+def zero_slot_reference(x, fmt):
+    """Round-to-nearest codes and flags with the zero slot judged as before
+    the one-pass rule: clamp at code 0, then move each value on the zero
+    code to code 1 where ``min_nonzero - x < x``."""
+    d = 52 - fmt.mantissa_bits
+    u = np.minimum(x, fmt.max_value).view(np.int64)
+    u = ((u + ((u >> d) & 1) + (1 << (d - 1)) - 1) >> d) - (1023 << fmt.mantissa_bits)
+    bits = np.maximum(u, 0).astype(np.uint8)
+    bits[(bits == 0) & (fmt.min_nonzero - x < x)] = 1
+    return bits, (bits == 0) & (x > 0), x > fmt.max_value
+
+
+def ulp_neighbours(points, k):
+    """Each point and its k nearest float64 neighbours on both sides."""
+    out = [np.asarray(points, dtype=float)]
+    for direction in (-np.inf, np.inf):
+        p = out[0]
+        for _ in range(k):
+            p = np.nextafter(p, direction)
+            out.append(p)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+def test_codes_only_encoder_matches_zero_slot_formula(fmt):
+    table = all_values(fmt)
+    midpoints = (table[:-1] + table[1:]) / 2  # exact: one more bit than the codes
+    assert midpoints[0] == fmt.min_nonzero / 2
+    x = np.concatenate([
+        [0.0, 1.0],
+        ulp_neighbours([fmt.min_nonzero / 2], 2),
+        ulp_neighbours([1.0 + 2.0 ** -(fmt.mantissa_bits + 1)], 1),
+        ulp_neighbours(midpoints, 1),
+        ulp_neighbours(table, 1),
+        [fmt.max_value * 2, 1e300],
+    ])
+    x = x[x >= 0]  # drops the one float below 0
+    want_bits, want_under, want_over = zero_slot_reference(x, fmt)
+    np.testing.assert_array_equal(fpcodec._encode_codes(x, fmt), want_bits)
+    bits, under, over = encode_values(x, fmt)
+    np.testing.assert_array_equal(bits, want_bits)
+    np.testing.assert_array_equal(under, want_under)
+    np.testing.assert_array_equal(over, want_over)
+    # the midpoint of 0 and min_nonzero ties to 0, one ulp above it is code 1
+    half = fmt.min_nonzero / 2
+    assert fpcodec._encode_codes(np.array([half, np.nextafter(half, 2.0)]), fmt).tolist() == [0, 1]
+
+
 # ---------------------------------------------------------------- tensors
 
 def test_quantize_forced_scale():
@@ -249,6 +338,31 @@ def test_quantize_blocks_match_whole_tensor_encode(fmt):
     grid = x[: x.size - x.size % 7].reshape(-1, 7)
     np.testing.assert_array_equal(quantize_tensor(grid, fmt, scale=scale).codes,
                                   want[: grid.size].reshape(grid.shape))
+
+
+@pytest.mark.parametrize("values, scale", [
+    ([0.5, -2.0, 3.0], -1.0),
+    ([0.5, -2.0, 3.0], 0.0),
+    ([0.5, -2.0, 3.0], np.nan),
+    ([0.5, -2.0, 3.0], np.inf),
+    ([0.5, -2.0, 3.0], 1e308),  # finite, but 3 * 1e308 is not
+    ([5e-324, 0.0], None),  # the derived scale 15.75 / 5e-324 is inf
+])
+def test_quantize_bad_scale_names_the_scale(values, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="scale"):
+            quantize_tensor(np.array(values), E2M5, scale=scale)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale", [None, 1.0])
+def test_quantize_non_finite_values_raise_without_warning(bad, scale):
+    x = np.array([0.5, -2.0, 3.0, bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="finite values"):
+            quantize_tensor(x, E2M5, scale=scale)
 
 
 def test_dequantize_round_trip_representable():

@@ -213,6 +213,51 @@ def test_row_and_column_split_identity_readout_is_lossless(rows, cols, seed):
     np.testing.assert_array_equal(res.values, dense)
 
 
+@pytest.mark.parametrize("readout", ["adc", "int8", "identity"])
+def test_one_tile_blocks_equal_zeros_plus_add(readout):
+    # two column blocks of one tile each, written straight out, against the
+    # sum from zero that blocks of several row tiles use; compared bit for
+    # bit, so a -0.0 written where the sum from +0.0 gives +0.0 would fail
+    from fpcim.adc import AdcConfig
+    from fpcim.cimmacro import macro_mac
+    from fpcim.dac import dac_convert_bits
+
+    rng = np.random.default_rng(29)
+    rows, cols, n = 40, 300, 60
+    w = rng.uniform(-1, 1, (rows, cols))
+    w[:, 7] = np.abs(w[:, 7])  # a column whose products with -0.0 inputs are all -0.0
+    bits = rng.integers(0, 128, (rows, n)).astype(np.uint8)
+    bits[rng.random((rows, n)) < 0.3] = 0
+    bits[:, :3] = 0  # vectors of signed zeros only
+    signs = rng.random((rows, n)) < 0.5
+    signs[:, :3] = True
+    plan = map_matrix(rows, cols)
+    assert [len(b) for b in plan.col_blocks()] == [1, 1]
+    # integration capacitor sized so the largest column current reads 0.9 of full scale
+    device = ideal_device()
+    dac = MacroConfig().dac
+    volts = dac_convert_bits(bits, E2M5, dac)
+    i_max = float(np.max(volts.T @ np.abs(w))) * device.g_max
+    base = AdcConfig()
+    cfg = MacroConfig(E2M5, dac, AdcConfig(c_int=i_max * base.t_int / (base.v_mid * 0.9 * 16)),
+                      device)
+    bank = MacroBank.build(plan, w, cfg)
+
+    res = execute_plan(plan, bits, bank, signs=signs, readout=readout)
+    for block in plan.col_blocks():
+        (t,) = block
+        one = macro_mac(bits, bank[t.id].pair, cfg, signs=signs, readout=readout)
+        raw = np.zeros((n, t.cols))
+        raw += one.digital_values
+        want = raw * (bank[t.id].weight_scale / device.level_scale)
+        got = res.values[:, t.col_start : t.col_stop]
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(res.underflow[:, t.col_start : t.col_stop], one.underflow)
+        np.testing.assert_array_equal(res.saturated[:, t.col_start : t.col_stop], one.saturated)
+    assert not res.saturated.all() and not res.underflow.all()
+    assert np.any(res.values == 0.0)
+
+
 def test_execute_plan_batched():
     rng = np.random.default_rng(23)
     cfg = MacroConfig(device=ideal_device())
@@ -298,3 +343,9 @@ def test_signs_shape_must_match_codes():
         execute_plan(plan, bits, bank, signs=signs)
     with pytest.raises(ContractError):
         macro_mac(bits, bank[0].pair, bank.config, signs=signs)
+    # a (4, 2, 2) batch used to run as 4 flattened vectors
+    for bad in (np.uint8(3), np.zeros((4, 2, 2), dtype=np.uint8)):
+        with pytest.raises(ContractError):
+            execute_plan(plan, bad, bank)
+        with pytest.raises(ContractError):
+            macro_mac(bad, bank[0].pair, bank.config)

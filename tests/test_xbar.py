@@ -155,6 +155,10 @@ def test_device_model_validation():
         DeviceModel(g_min=5e-6, g_max=1e-6)
     with pytest.raises(ContractError):
         DeviceModel(levels=1)
+    for levels in (2.5, 16.0, "16", True):  # a level count is an integer
+        with pytest.raises(ContractError, match="levels"):
+            DeviceModel(levels=levels)
+    assert DeviceModel(levels=np.int64(16)).level_scale == 15.0
     with pytest.raises(ContractError):
         DeviceModel(sigma_rel=-0.1)
 
