@@ -248,12 +248,12 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
     scaled back by the block's weight scale once.  ``bank`` must have been
     built for ``plan``: the same object or an equal plan.
 
-    A column block of one tile has nothing to sum: its scaled digital
-    values and its flags are written straight into the outputs.  That is
-    bit for bit the sum from zero, ``0.0 + d``, for every ``d`` but -0.0,
-    and no readout returns -0.0: the ``adc`` and ``int8`` values are
-    differences of non-negative x values, and the ``identity`` matmul
-    accumulates from +0.0.
+    Every block sums from its first tile's result, so a block of one tile
+    is written straight into the outputs.  That is bit for bit the sum
+    from zero, ``0.0 + d``, for every ``d`` but -0.0, and no readout
+    returns -0.0: the ``adc`` and ``int8`` values are differences of
+    non-negative x values, and the ``identity`` matmul accumulates from
+    +0.0.
     """
     if bank.plan != plan:
         raise ContractError("bank was programmed for another plan")
@@ -271,22 +271,15 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
         results = (macro_mac(bits[t.row_start : t.row_stop], bank[t.id].pair, bank.config,
                              signs=None if signs is None else signs[t.row_start : t.row_stop],
                              readout=readout) for t in block)
-        if len(block) == 1:
-            res = next(results)
-            np.multiply(res.digital_values.reshape(n, -1), scale, out=out[:, lo:hi])
-            under[:, lo:hi] = res.underflow.reshape(n, -1)
-            sat[:, lo:hi] = res.saturated.reshape(n, -1)
-            continue
-        raw = np.zeros((n, hi - lo))
-        b_under = np.ones((n, hi - lo), dtype=bool)
-        b_sat = np.zeros((n, hi - lo), dtype=bool)
+        first = next(results)
+        raw = first.digital_values.reshape(n, -1)  # a fresh array: safe to add into
+        under[:, lo:hi] = first.underflow.reshape(n, -1)
+        sat[:, lo:hi] = first.saturated.reshape(n, -1)
         for res in results:
             raw += res.digital_values.reshape(n, -1)
-            b_under &= res.underflow.reshape(n, -1)
-            b_sat |= res.saturated.reshape(n, -1)
+            under[:, lo:hi] &= res.underflow.reshape(n, -1)
+            sat[:, lo:hi] |= res.saturated.reshape(n, -1)
         np.multiply(raw, scale, out=out[:, lo:hi])
-        under[:, lo:hi] = b_under
-        sat[:, lo:hi] = b_sat
     if single:
         return PlanResult(out.reshape(-1), under.reshape(-1), sat.reshape(-1))
     return PlanResult(out, under, sat)

@@ -16,7 +16,7 @@ from fpcim.mapper import (
     map_fc,
     map_matrix,
 )
-from fpcim.xbar import DeviceModel, weight_levels
+from fpcim.xbar import MAX_ROWS, DeviceModel, weight_levels
 
 
 def ideal_device():
@@ -213,17 +213,18 @@ def test_row_and_column_split_identity_readout_is_lossless(rows, cols, seed):
     np.testing.assert_array_equal(res.values, dense)
 
 
+@pytest.mark.parametrize("rows", [40, MAX_ROWS + 40])
 @pytest.mark.parametrize("readout", ["adc", "int8", "identity"])
-def test_one_tile_blocks_equal_zeros_plus_add(readout):
-    # two column blocks of one tile each, written straight out, against the
-    # sum from zero that blocks of several row tiles use; compared bit for
-    # bit, so a -0.0 written where the sum from +0.0 gives +0.0 would fail
+def test_blocks_from_first_tile_equal_zeros_plus_add(readout, rows):
+    # two column blocks of one tile or two row tiles each, summed from their
+    # first tile's result, against the sum from zero; compared bit for bit,
+    # so a -0.0 written where the sum from +0.0 gives +0.0 would fail
     from fpcim.adc import AdcConfig
     from fpcim.cimmacro import macro_mac
     from fpcim.dac import dac_convert_bits
 
     rng = np.random.default_rng(29)
-    rows, cols, n = 40, 300, 60
+    cols, n = 300, 60
     w = rng.uniform(-1, 1, (rows, cols))
     w[:, 7] = np.abs(w[:, 7])  # a column whose products with -0.0 inputs are all -0.0
     bits = rng.integers(0, 128, (rows, n)).astype(np.uint8)
@@ -232,7 +233,7 @@ def test_one_tile_blocks_equal_zeros_plus_add(readout):
     signs = rng.random((rows, n)) < 0.5
     signs[:, :3] = True
     plan = map_matrix(rows, cols)
-    assert [len(b) for b in plan.col_blocks()] == [1, 1]
+    assert [len(b) for b in plan.col_blocks()] == [len(plan.tiles) // 2] * 2
     # integration capacitor sized so the largest column current reads 0.9 of full scale
     device = ideal_device()
     dac = MacroConfig().dac
@@ -245,15 +246,21 @@ def test_one_tile_blocks_equal_zeros_plus_add(readout):
 
     res = execute_plan(plan, bits, bank, signs=signs, readout=readout)
     for block in plan.col_blocks():
-        (t,) = block
-        one = macro_mac(bits, bank[t.id].pair, cfg, signs=signs, readout=readout)
-        raw = np.zeros((n, t.cols))
-        raw += one.digital_values
-        want = raw * (bank[t.id].weight_scale / device.level_scale)
-        got = res.values[:, t.col_start : t.col_stop]
+        lo, hi = block[0].col_start, block[0].col_stop
+        raw = np.zeros((n, hi - lo))
+        under = np.ones((n, hi - lo), dtype=bool)
+        sat = np.zeros((n, hi - lo), dtype=bool)
+        for t in block:
+            rs = slice(t.row_start, t.row_stop)
+            one = macro_mac(bits[rs], bank[t.id].pair, cfg, signs=signs[rs], readout=readout)
+            raw += one.digital_values
+            under &= one.underflow
+            sat |= one.saturated
+        want = raw * (bank[block[0].id].weight_scale / device.level_scale)
+        got = res.values[:, lo:hi]
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        np.testing.assert_array_equal(res.underflow[:, t.col_start : t.col_stop], one.underflow)
-        np.testing.assert_array_equal(res.saturated[:, t.col_start : t.col_stop], one.saturated)
+        np.testing.assert_array_equal(res.underflow[:, lo:hi], under)
+        np.testing.assert_array_equal(res.saturated[:, lo:hi], sat)
     assert not res.saturated.all() and not res.underflow.all()
     assert np.any(res.values == 0.0)
 
@@ -347,5 +354,3 @@ def test_signs_shape_must_match_codes():
     for bad in (np.uint8(3), np.zeros((4, 2, 2), dtype=np.uint8)):
         with pytest.raises(ContractError):
             execute_plan(plan, bad, bank)
-        with pytest.raises(ContractError):
-            macro_mac(bad, bank[0].pair, bank.config)
