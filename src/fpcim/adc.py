@@ -9,8 +9,11 @@ charge-share events is the exponent; the residue voltage sampled at
 ``t_int`` is digitized by a single-slope ramp into the mantissa.  A result
 that never reaches ``v_mid`` by the sample moment is not read out (zero
 code, underflow flag); running out of bank capacitors saturates to the top
-code.  ``v_mid``, the reset level and the bank itself are derived from
-``v_th``, ``c_int`` and ``exp_max``, not set.
+code.  The format read out defines the converter: one bank capacitor per
+exponent step and one ramp step per mantissa code (E2M5: 4 capacitors, 32
+steps; E3M4: 8 and 16), so every converter takes the ``FpFormat`` and
+``AdcConfig`` holds only ``c_int``, ``v_th`` and ``t_int``; ``v_mid`` and
+the reset level are derived from ``v_th``, not set.
 
 Two conversion paths are provided: ``simulate_transient`` is the
 event-driven simulation with a full trace, ``convert_analytic`` the
@@ -20,10 +23,14 @@ the sampled voltage, a +1/2 LSB bias), clamped at the top step.
 ``simulate_transient`` ramps against its simulated voltage
 (``single_slope``); ``convert_analytic`` takes the ceiling of the exact
 residue ``x / 2^e - 1`` in ramp steps, so an x on a step reads that step at
-any ``v_th``.  ``convert_analytic_array``, the vectorized converter, reads
-the same code from the float64 bit pattern of x: exponent and kept mantissa
-bits, plus one step if a dropped bit is set, clamped at the top step
-instead of carrying.
+any ``v_th``.  The transient does not: at a ``v_th`` that is not a power of
+two the ramp step is inexact in binary, and an x lying exactly on a step
+can read one step high (42 of the 127 non-zero E2M5 code values at 1.7 V),
+so the two agree off the ramp lattice or at a power-of-two ``v_th``.
+``convert_analytic_array``, the vectorized converter, reads the same code
+from the float64 bit pattern of x: exponent and kept mantissa bits, plus
+one step if a dropped bit is set, clamped at the top step instead of
+carrying.
 ``int8_baseline_convert`` is the fixed-range INT8 converter the adaptive
 one is compared against; all converters read the same normalized input
 ``x`` (``adc_x``).
@@ -32,7 +39,7 @@ one is compared against; all converters read the same normalized input
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,7 +52,6 @@ __all__ = [
     "AdcResult",
     "adc_x",
     "charge_share",
-    "check_format",
     "single_slope",
     "convert_analytic",
     "convert_analytic_array",
@@ -53,6 +59,7 @@ __all__ = [
     "int8_baseline_convert",
     "INT8_LSB",
     "LATENCY_NS",
+    "x_sat",
 ]
 
 # Full conversion windows in integer nanoseconds, so published ratios are
@@ -61,38 +68,36 @@ __all__ = [
 # 100 ns + 400 ns.
 LATENCY_NS = {"E2M5": 200, "E3M4": 150, "INT8": 500}
 
+
+def x_sat(fmt: FpFormat) -> float:
+    """Smallest saturating x, 2^(exp_max+1): ``floor(log2 x) > exp_max`` for finite x."""
+    return 2.0 ** (fmt.exp_max + 1)
+
+
 # The INT8 baseline quantizes x uniformly over [0, 16), the whole E2M5
 # adaptive input range, in 256 steps.
-INT8_FULL_SCALE = 2.0 ** (E2M5.exp_max + 1)
+INT8_FULL_SCALE = x_sat(E2M5)
 INT8_LSB = INT8_FULL_SCALE / 256.0
 
 
 @dataclass(frozen=True)
 class AdcConfig:
-    """Capacitor bank, threshold and timing of one column converter.
+    """Unit capacitor, threshold and integration window of one column converter.
 
-    The bank holds ``exp_max + 1`` capacitors ``[C, C, 2C, 4C, ...]``.
+    The bank size and the ramp length come from the format converted
+    (``cap_bank``, ``FpFormat.mant_levels``).  Every field must be finite
+    and positive.
     """
 
     c_int: float = 100e-15
-    exp_max: int = E2M5.exp_max
     v_th: float = 2.0
     t_int: float = 95e-9
-    ramp_steps: int = E2M5.mant_levels
 
     def __post_init__(self):
-        if self.c_int <= 0 or self.t_int <= 0:
-            raise ContractError("c_int and t_int must be positive")
-        if self.exp_max < 0:
-            raise ContractError("exp_max must be >= 0")
-        if self.v_th <= 0:
-            raise ContractError("v_th must be positive")
-        if self.ramp_steps < 2:
-            raise ContractError("ramp needs at least 2 steps")
-
-    @classmethod
-    def for_format(cls, fmt: FpFormat, c_int: float = 100e-15, **kwargs) -> "AdcConfig":
-        return cls(c_int=c_int, exp_max=fmt.exp_max, ramp_steps=fmt.mant_levels, **kwargs)
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not 0 < v < math.inf:
+                raise ContractError(f"{f.name} must be finite and positive, got {v!r}")
 
     @property
     def v_reset(self) -> float:
@@ -104,15 +109,9 @@ class AdcConfig:
         """Level every charge share lands on: (v_th + v_reset) / 2."""
         return self.v_th / 2
 
-    @property
-    def cap_bank(self) -> tuple[float, ...]:
-        """[C, C, 2C, 4C, ...]: one doubling capacitor per exponent step."""
-        return (self.c_int,) + tuple(self.c_int * 2.0**k for k in range(self.exp_max))
-
-    @property
-    def x_sat(self) -> float:
-        """Smallest saturating x, 2^(exp_max+1): ``floor(log2 x) > exp_max`` for finite x."""
-        return 2.0 ** (self.exp_max + 1)
+    def cap_bank(self, fmt: FpFormat) -> tuple[float, ...]:
+        """[C, C, 2C, 4C, ...]: one doubling capacitor per exponent step of ``fmt``."""
+        return (self.c_int,) + tuple(self.c_int * 2.0**k for k in range(fmt.exp_max))
 
 
 def adc_x(i_mac, config: AdcConfig) -> np.ndarray:
@@ -154,27 +153,18 @@ def charge_share(v_o: float, c_active: float, c_next: float, v_reset: float = 0.
     return (c_active * v_o + c_next * v_reset) / (c_active + c_next)
 
 
-def single_slope(v_m: float, config: AdcConfig) -> int:
+def single_slope(v_m: float, config: AdcConfig, fmt: FpFormat = E2M5) -> int:
     """Mantissa code for a sampled voltage in [v_mid, v_th).
 
-    Counter semantics: the ramp starts one step above v_mid and the count
-    is read when it meets or exceeds v_m, i.e. ceiling rounding clamped to
-    the top step.
+    Counter semantics: the ramp of ``fmt.mant_levels`` steps starts one
+    step above v_mid and the count is read when it meets or exceeds v_m,
+    i.e. ceiling rounding clamped to the top step.
     """
     if not (config.v_mid <= v_m < config.v_th):
         raise ContractError(f"sampled voltage {v_m} outside [{config.v_mid}, {config.v_th})")
-    step = (config.v_th - config.v_mid) / config.ramp_steps
+    step = (config.v_th - config.v_mid) / fmt.mant_levels
     k = math.ceil((v_m - config.v_mid) / step)
-    return min(max(k, 0), config.ramp_steps - 1)
-
-
-def check_format(config: AdcConfig, fmt: FpFormat) -> None:
-    """Raise unless the bank and ramp match the format's exponent and mantissa."""
-    if config.exp_max != fmt.exp_max or config.ramp_steps != fmt.mant_levels:
-        raise ContractError(
-            f"ADC bank/ramp ({config.exp_max + 1} caps, {config.ramp_steps} steps) "
-            f"does not match {fmt.name}"
-        )
+    return min(max(k, 0), fmt.mant_levels - 1)
 
 
 def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcResult:
@@ -184,22 +174,21 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> A
     zero code, ``floor(log2 x)`` beyond the bank (+inf included) saturates
     to the top code, otherwise the exponent is ``floor(log2 x)`` and the
     mantissa the ramp's ceiling of the residue, clamped at the top step.
-    The residue is taken in ramp steps as ``(x / 2^e - 1) * ramp_steps``,
+    The residue is taken in ramp steps as ``(x / 2^e - 1) * mant_levels``,
     exact in floating point (a power-of-two division, a Sterbenz
     subtraction and a power-of-two product), not from the sampled voltage
     ``v_m = v_mid * x / 2^e``, whose steps need not be exact.
     """
-    check_format(config, fmt)
     x = float(adc_x(i_mac, config))
     if x < 1.0:
         return AdcResult(FpCode(0, 0, fmt), v_m=x * config.v_mid, underflow=True)
-    if x >= config.x_sat:
+    if x >= x_sat(fmt):
         return AdcResult(
             FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt), v_m=config.v_th, saturated=True
         )
     e = math.frexp(x)[1] - 1  # exact binade, no log rounding at the edges
     r = x / 2.0**e  # in [1, 2)
-    mant = min(math.ceil((r - 1.0) * config.ramp_steps), config.ramp_steps - 1)
+    mant = min(math.ceil((r - 1.0) * fmt.mant_levels), fmt.mant_levels - 1)
     return AdcResult(FpCode(e, mant, fmt), v_m=config.v_mid * r)
 
 
@@ -215,11 +204,11 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat =
 
     Returns (code_bits uint8, underflow, saturated, x value of each code).
     """
-    check_format(config, fmt)
     x = np.asarray(adc_x(i_mac, config))  # a fresh array, clipped in place
+    full = x_sat(fmt)
     underflow = x < 1.0
-    saturated = x >= config.x_sat
-    np.clip(x, 1.0, np.nextafter(config.x_sat, 0.0), out=x)
+    saturated = x >= full
+    np.clip(x, 1.0, np.nextafter(full, 0.0), out=x)
     u = x.view(np.int64)
     d = 52 - fmt.mantissa_bits
     top = u >> d
@@ -261,16 +250,23 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
     constant waveform ``[(t0, i0), (t1, i1), ...]`` with t0 = 0 and finite,
     non-decreasing times.  The integrator is advanced analytically within
     each constant segment; threshold crossings trigger charge-share events
-    computed by exact charge conservation.
+    computed by exact charge conservation.  The bank has one capacitor per
+    exponent step of ``fmt`` and the ramp one step per mantissa code.
+
+    This is ``convert_analytic``'s oracle off the ramp lattice.  An x lying
+    exactly on a ramp step can read one step high when ``v_th`` is not a
+    power of two: the mantissa is ``single_slope``'s ceiling of the rounded
+    ``v_m`` over an inexact step, where ``convert_analytic`` takes the exact
+    residue.  At a power-of-two ``v_th`` the two agree everywhere.
     """
-    check_format(config, fmt)
     segments = _current_segments(i_of_t, config.t_int)
 
+    bank = config.cap_bank(fmt)
     v = config.v_reset
-    c_active = config.cap_bank[0]
+    c_active = bank[0]
     shares = 0
     saturated = False
-    sw_bits = lambda: tuple(1 if k < shares else 0 for k in range(config.exp_max))
+    sw_bits = lambda: tuple(1 if k < shares else 0 for k in range(fmt.exp_max))
 
     trace = [AdcEvent(0.0, "reset", v, sw_bits())]
     for t0, t1, i in segments:
@@ -283,13 +279,13 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
                 v += i * (t1 - t) / c_active
                 break
             trace.append(AdcEvent(t_hit, "threshold-crossing", config.v_th, sw_bits()))
-            if shares >= config.exp_max:
+            if shares >= fmt.exp_max:
                 # Bank exhausted: integration halts at the full bank.
                 saturated = True
                 v = config.v_th
                 t = t_hit
                 break
-            c_next = config.cap_bank[shares + 1]
+            c_next = bank[shares + 1]
             v = charge_share(config.v_th, c_active, c_next, config.v_reset)
             c_active += c_next
             shares += 1
@@ -306,8 +302,8 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
         return AdcResult(code, v_m=config.v_th, saturated=True, trace=trace)
     if shares == 0 and v_m < config.v_mid:
         return AdcResult(FpCode(0, 0, fmt), v_m=v_m, underflow=True, trace=trace)
-    mant = single_slope(v_m, config)
-    step = (config.v_th - config.v_mid) / config.ramp_steps
+    mant = single_slope(v_m, config, fmt)
+    step = (config.v_th - config.v_mid) / fmt.mant_levels
     trace.append(AdcEvent(config.t_int, "ramp-compare", config.v_mid + mant * step, sw_bits()))
     return AdcResult(FpCode(shares, mant, fmt), v_m=v_m, trace=trace)
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import adc as adc_mod
 from . import dac as dac_mod
 from . import fpcodec
 from .adc import INT8_LSB, LATENCY_NS, AdcConfig, convert_analytic_array, int8_baseline_convert
@@ -66,7 +65,6 @@ class MacroConfig:
     device: DeviceModel = field(default_factory=DeviceModel)
 
     def __post_init__(self):
-        adc_mod.check_format(self.adc, self.fmt)
         if self.latency <= self.adc.t_int:
             raise ContractError("macro latency must exceed the ADC integration window")
         dac_mod.check_headroom(self.dac, self.fmt)
@@ -78,8 +76,8 @@ class MacroConfig:
 
     @classmethod
     def for_format(cls, fmt: FpFormat, device: DeviceModel | None = None) -> "MacroConfig":
-        return cls(fmt, DacConfig(v_unit=V_UNIT[fmt]), AdcConfig.for_format(fmt),
-                   device if device is not None else DeviceModel())
+        return cls(fmt, DacConfig(v_unit=V_UNIT[fmt]),
+                   device=device if device is not None else DeviceModel())
 
 
 @dataclass

@@ -9,6 +9,7 @@ every output must stay below the ``V_SUPPLY`` analog supply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class DacConfig:
     v_unit: float = 0.1
 
     def __post_init__(self):
-        if self.v_unit <= 0:
-            raise ContractError("v_unit must be positive")
+        if not 0 < self.v_unit < math.inf:
+            raise ContractError(f"v_unit must be finite and positive, got {self.v_unit!r}")
 
 
 def check_headroom(config: DacConfig, fmt: FpFormat) -> None:

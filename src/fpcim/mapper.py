@@ -117,8 +117,7 @@ def map_matrix(rows: int, cols: int) -> TilePlan:
     """Partition a (rows, cols) matrix into macro-sized tiles.
 
     Tile ids run over the column blocks in order, and over the row blocks
-    within one; plans that fit in a single row of macros have no
-    partial-sum groups.
+    within one.
     """
     if rows < 1 or cols < 1:
         raise ContractError("matrix dimensions must be >= 1")
@@ -182,7 +181,6 @@ def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
 
 @dataclass
 class ProgrammedTile:
-    tile: Tile
     pair: ConductancePair
     weight_scale: float
 
@@ -222,7 +220,7 @@ class MacroBank:
             for t in block:
                 pair = program_weights(w[t.row_start : t.row_stop, lo:hi] / beta,
                                        config.device, seed=seed + t.id)
-                bank.tiles[t.id] = ProgrammedTile(t, pair, beta)
+                bank.tiles[t.id] = ProgrammedTile(pair, beta)
         return bank
 
     def __getitem__(self, tile_id: int) -> ProgrammedTile:

@@ -123,11 +123,9 @@ def throughput(config: MacroConfig) -> float:
     return throughput_from(MAX_ROWS, MAX_COLS, config.latency)
 
 
-def efficiency(config: MacroConfig, params: EnergyParams = DEFAULT_PARAMS,
-               label: str | None = None) -> float:
-    """Ops per joule: throughput over total macro power."""
-    label = label or config.fmt.name
-    total = params.total(label)
+def efficiency(config: MacroConfig, params: EnergyParams = DEFAULT_PARAMS) -> float:
+    """Ops per joule: throughput over the total power of the config's format."""
+    total = params.total(config.fmt.name)
     if total <= 0:
         raise ConfigError("total power must be positive")
     return throughput(config) / total

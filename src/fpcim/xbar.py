@@ -42,13 +42,13 @@ class DeviceModel:
     sigma_rel: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.g_min < self.g_max:
-            raise ContractError("need 0 <= g_min < g_max")
+        if not 0 <= self.g_min < self.g_max < np.inf:
+            raise ContractError("need 0 <= g_min < g_max < inf")
         if self.levels is not None and not (isinstance(self.levels, (int, np.integer))
                                             and self.levels >= 2):
             raise ContractError(f"levels must be an integer >= 2 or None, got {self.levels!r}")
-        if self.sigma_rel < 0:
-            raise ContractError("sigma_rel must be non-negative")
+        if not 0 <= self.sigma_rel < np.inf:
+            raise ContractError("sigma_rel must be finite and non-negative")
 
     @property
     def g_lsb(self) -> float:

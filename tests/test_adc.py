@@ -15,11 +15,12 @@ from fpcim.adc import (
     int8_baseline_convert,
     simulate_transient,
     single_slope,
+    x_sat,
 )
 from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, E3M4, all_values, decode
 
-CFG = AdcConfig()  # 100 fF, [C, C, 2C, 4C], 2 V threshold, 95 ns window
+CFG = AdcConfig()  # 100 fF, 2 V threshold, 95 ns window; E2M5 bank [C, C, 2C, 4C]
 
 
 def share_events(result):
@@ -50,7 +51,7 @@ def test_share_conserves_charge():
 def test_share_lands_at_v_mid_for_every_bank_stage():
     c = CFG.c_int
     active = c
-    for nxt in CFG.cap_bank[1:]:
+    for nxt in CFG.cap_bank(E2M5)[1:]:
         assert charge_share(CFG.v_th, active, nxt, CFG.v_reset) == CFG.v_mid
         active += nxt
 
@@ -137,11 +138,11 @@ def _ramp_sweep(fmt, v_th):
     midpoint and x_sat, and on +-1 and +-2 ulp around each, plus 0 and +inf.
     """
     v_mid = v_th / 2
-    cfg = AdcConfig.for_format(fmt, c_int=2.0**-43 / v_mid, v_th=v_th, t_int=2.0**-23)
+    cfg = AdcConfig(c_int=2.0**-43 / v_mid, v_th=v_th, t_int=2.0**-23)
     assert cfg.c_int * cfg.v_mid == 2.0**-43
     half = np.arange(2 * fmt.mant_levels) / (2 * fmt.mant_levels)
     grid = np.concatenate([np.ldexp(1.0 + half, e) for e in range(fmt.exp_max + 1)]
-                          + [[cfg.x_sat]])
+                          + [[x_sat(fmt)]])
     below, above = np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)
     x = np.concatenate([grid, below, above, np.nextafter(below, 0.0),
                         np.nextafter(above, np.inf), [0.0, np.inf]])
@@ -222,13 +223,14 @@ def test_transient_charge_conservation_and_continuity():
     # the Eq-style segment current evaluated just before and after each
     # share event must agree, and total bank charge must be conserved
     rng = np.random.default_rng(7)
+    bank = CFG.cap_bank(E2M5)
     for i in rng.uniform(1.2e-6, 16.8e-6, 200):
         r = simulate_transient(float(i), CFG)
-        c_active = CFG.cap_bank[0]
+        c_active = bank[0]
         for ev in r.trace:
             if ev.kind != "charge-share":
                 continue
-            c_next = CFG.cap_bank[sum(ev.switch_state)]
+            c_next = bank[sum(ev.switch_state)]
             q_before = c_active * CFG.v_th + c_next * CFG.v_reset
             q_after = (c_active + c_next) * ev.v_o
             assert q_after == pytest.approx(q_before, rel=1e-12)
@@ -291,7 +293,7 @@ def test_oracle_equivalence_property(i):
     # residue lands exactly on a ramp step or segment boundary can flip by
     # one ulp; agreement is over the open complement of that lattice.
     x = i * CFG.t_int / (CFG.c_int * CFG.v_mid)
-    frac = (x / 2.0 ** (math.frexp(x)[1] - 1)) * CFG.ramp_steps if x > 0 else 0.5
+    frac = (x / 2.0 ** (math.frexp(x)[1] - 1)) * E2M5.mant_levels if x > 0 else 0.5
     on_lattice = (
         abs(x - round(x)) < 1e-9 or abs(frac - round(frac)) < 1e-9
     )
@@ -303,10 +305,10 @@ def test_oracle_equivalence_property(i):
 
 
 def test_e3m4_bank_and_conversion():
-    cfg = AdcConfig.for_format(E3M4)
-    assert len(cfg.cap_bank) == 8
-    assert cfg.cap_bank[-1] == 64 * cfg.c_int
-    assert cfg.ramp_steps == 16
+    cfg = AdcConfig()
+    assert len(cfg.cap_bank(E3M4)) == 8
+    assert cfg.cap_bank(E3M4)[-1] == 64 * cfg.c_int
+    assert E3M4.mant_levels == 16
     i = 100e-6  # x ~ 95 -> exponent 6
     a = convert_analytic(i, cfg, E3M4)
     t = simulate_transient(i, cfg, E3M4)
@@ -314,9 +316,11 @@ def test_e3m4_bank_and_conversion():
     assert a.code.exponent == 6
 
 
-def test_format_config_mismatch_rejected():
-    with pytest.raises(ContractError):
-        convert_analytic(1e-6, AdcConfig(), E3M4)
+def test_one_config_converts_every_format():
+    # the bank and the ramp come from the format: the default config reads E3M4
+    r = convert_analytic(100e-6, AdcConfig(), E3M4)
+    assert r.code.format == E3M4 and r.code.exponent == 6
+    assert x_sat(E2M5) == 16.0 and x_sat(E3M4) == 256.0
 
 
 # ---------------------------------------------------------------- int8 baseline
@@ -376,10 +380,10 @@ def test_trace_kinds():
 def test_config_validation():
     # the midpoint and the doubling bank are derived, not set
     assert AdcConfig(v_th=3.0).v_mid == 1.5
-    assert AdcConfig(exp_max=2).cap_bank == (100e-15, 100e-15, 200e-15)
+    assert AdcConfig().cap_bank(E2M5) == (100e-15, 100e-15, 200e-15, 400e-15)
     with pytest.raises(ContractError):
         AdcConfig(v_th=0.0)
     with pytest.raises(ContractError):
-        AdcConfig(exp_max=-1)
+        AdcConfig(c_int=-1e-15)
     with pytest.raises(ContractError):
         AdcConfig(t_int=0.0)

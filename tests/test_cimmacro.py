@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from fpcim.adc import (
     convert_analytic,
     convert_analytic_array,
     int8_baseline_convert,
+    x_sat,
 )
 from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
 from fpcim.dac import DacConfig, dac_convert, dac_convert_bits
@@ -37,8 +41,8 @@ def test_scale_chain_linear_in_v_unit():
 
 
 def test_scale_chain_inverse_in_c_int():
-    a = MacroConfig(adc=AdcConfig.for_format(E2M5, c_int=100e-15))
-    b = MacroConfig(adc=AdcConfig.for_format(E2M5, c_int=50e-15))
+    a = MacroConfig(adc=AdcConfig(c_int=100e-15))
+    b = MacroConfig(adc=AdcConfig(c_int=50e-15))
     assert scale_chain(b) == pytest.approx(2 * scale_chain(a), rel=1e-12)
 
 
@@ -194,7 +198,7 @@ def test_e3m4_macro_config():
     cfg = MacroConfig.for_format(E3M4)
     assert cfg.latency == pytest.approx(150e-9)
     assert cfg.dac.v_unit == pytest.approx(0.01)
-    assert cfg.adc.ramp_steps == 16
+    assert cfg.adc == AdcConfig()
     weights = program_weights(np.full((4, 2), 0.5), cfg.device)
     bits = np.full(4, (3 << 4) | 2, dtype=np.uint8)
     res = macro_mac(bits, weights, cfg)
@@ -226,9 +230,22 @@ def test_non_integer_codes_rejected():
         macro_mac(np.full(4, 3.7), weights, cfg)
 
 
-def test_format_adc_mismatch_rejected_at_construction():
-    with pytest.raises(ContractError):
-        MacroConfig(fmt=E3M4, dac=DacConfig(v_unit=0.01))  # default ADC is E2M5
+def test_default_adc_serves_every_format():
+    # the ADC config holds no format: the E3M4 macro uses the default ADC
+    assert MacroConfig(fmt=E3M4, dac=DacConfig(v_unit=0.01)) == MacroConfig.for_format(E3M4)
+
+
+CONFIG_FLOATS = [pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+                 for cls in (AdcConfig, DacConfig, DeviceModel)
+                 for f in dataclasses.fields(cls) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("cls, name", CONFIG_FLOATS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_config_field_rejected(cls, name, bad):
+    # every float field is checked at construction, including one added later
+    with pytest.raises(ContractError, match=name):
+        cls(**{name: bad})
 
 
 def unblocked_macro_mac(bits, weights, cfg, signs, readout):
@@ -268,9 +285,9 @@ def test_blocked_chain_equals_unblocked_composition(fmt, readout, signed):
     dac = DacConfig(v_unit=cimmacro.V_UNIT[fmt])
     volts = dac_convert_bits(bits, fmt, dac)
     i_max = max(float(np.max(volts.T @ weights.g_pos)), float(np.max(volts.T @ weights.g_neg)))
-    base = AdcConfig.for_format(fmt)
-    full = base.x_sat if readout == "adc" else INT8_FULL_SCALE
-    adc = AdcConfig.for_format(fmt, c_int=i_max * base.t_int / (base.v_mid * 0.9 * full))
+    base = AdcConfig()
+    full = x_sat(fmt) if readout == "adc" else INT8_FULL_SCALE
+    adc = AdcConfig(c_int=i_max * base.t_int / (base.v_mid * 0.9 * full))
     cfg = MacroConfig(fmt, dac, adc, device)
 
     res = macro_mac(bits, weights, cfg, signs=signs, readout=readout)

@@ -38,10 +38,10 @@ def test_throughput_from_config():
 
 
 def test_efficiency_reproduces_design_points():
-    e2 = efficiency(MacroConfig(), DEFAULT_PARAMS, label="E2M5")
+    e2 = efficiency(MacroConfig(), DEFAULT_PARAMS)
     assert float(f"{e2 / 1e12:.3g}") == 19.9 or round(e2 / 1e12, 2) == 19.89
     assert round(e2 / 1e12, 2) == 19.89
-    e3 = efficiency(MacroConfig.for_format(E3M4), DEFAULT_PARAMS, label="E3M4")
+    e3 = efficiency(MacroConfig.for_format(E3M4), DEFAULT_PARAMS)
     assert round(e3 / 1e12, 2) == 14.12
 
 
@@ -61,8 +61,8 @@ def test_doubling_power_halves_efficiency():
         }
     )
     cfg = MacroConfig()
-    assert efficiency(cfg, doubled, label="E2M5") == pytest.approx(
-        efficiency(cfg, DEFAULT_PARAMS, label="E2M5") / 2, rel=1e-12
+    assert efficiency(cfg, doubled) == pytest.approx(
+        efficiency(cfg, DEFAULT_PARAMS) / 2, rel=1e-12
     )
 
 
@@ -113,4 +113,4 @@ def test_zero_power_rejected():
         BlockPowers(-1.0, 0, 0, 0)
     zero = EnergyParams({"E2M5": BlockPowers(0, 0, 0, 0)})
     with pytest.raises(ConfigError):
-        efficiency(MacroConfig(), zero, label="E2M5")
+        efficiency(MacroConfig(), zero)
