@@ -186,7 +186,7 @@ def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig)
     volts = dac_convert_bits(bits, config.fmt, config.dac)
     if signs is None:
         return volts.T @ weights.g_pos, volts.T @ weights.g_neg
-    v_rev = np.where(signs, volts, 0.0)
+    v_rev = volts * signs  # +0.0 where the sign is clear: volts are finite, >= 0
     volts -= v_rev  # exactly 0 where the sign is set: the forward phase
     i_pos = volts.T @ weights.g_pos
     i_pos += v_rev.T @ weights.g_neg

@@ -200,7 +200,8 @@ class MacroBank:
 
         Each column block is divided by one scale, so the raw digital
         outputs of its row tiles are summable: ``weight_scale`` if given,
-        else the block's max-abs weight (1 for an all-zero block).  A given
+        else the block's max-abs weight, ``max(block.max(), -block.min())``
+        read without an ``|w|`` copy (1 for an all-zero block).  A given
         scale must be finite and positive.  Tile ``t`` is programmed with
         seed ``seed + t.id``.
         """
@@ -216,7 +217,8 @@ class MacroBank:
             if weight_scale is not None:
                 beta = float(weight_scale)
             else:
-                beta = float(np.max(np.abs(w[:, lo:hi]), initial=0.0)) or 1.0
+                cols = w[:, lo:hi]
+                beta = float(max(cols.max(), -cols.min())) or 1.0
             for t in block:
                 pair = program_weights(w[t.row_start : t.row_stop, lo:hi] / beta,
                                        config.device, seed=seed + t.id)

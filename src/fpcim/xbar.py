@@ -3,8 +3,13 @@
 Signed weights are stored as differential conductance pairs: the positive
 column carries ``g_min + |w| * (g_max - g_min)`` for w >= 0 (the negative
 column stays at g_min) and symmetrically for w < 0.  Multi-level cells
-quantize the magnitude onto ``levels`` uniform conductance steps;
+quantize the weight onto ``levels`` uniform conductance steps per sign;
 ``levels=None`` models an ideal continuously-programmable device.
+
+Programming works on the signed weight throughout: the level is
+``rint(w * (levels - 1))``, scaled to a signed conductance step ``a``, and
+the planes are ``max(a, 0) + g_min`` and ``max(-a, 0) + g_min``.  Every
+step is odd in w, so this is bit for bit the ``|w|`` form split by sign.
 
 Column currents follow Ohm's law and Kirchhoff's current law with the
 source line clamped: the model works with the current magnitude entering
@@ -88,26 +93,34 @@ class ConductancePair:
 def weight_levels(weights: np.ndarray, model: DeviceModel) -> np.ndarray:
     """Signed level numbers the device programming rounds the weights to.
 
-    Integers in [-(levels-1), levels-1] for an MLC device; the normalized
-    weights themselves for a continuous one.
+    ``np.rint(w * (levels - 1))``: integers in [-(levels-1), levels-1] for
+    an MLC device, in one fresh array; a copy of the normalized weights for
+    a continuous one.  Round-half-even is odd, so this equals
+    ``np.sign(w) * np.rint(np.abs(w) * (levels - 1))`` in value, and bit
+    for bit except at w = -0.0, where it gives -0.0 (the |w| form +0.0).
     """
     w = np.asarray(weights, dtype=float)
     if model.levels is None:
-        return w
-    return np.sign(w) * np.rint(np.abs(w) * (model.levels - 1))
+        return w.copy()
+    a = w * (model.levels - 1)
+    return np.rint(a, out=a)
 
 
 def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> ConductancePair:
     """Program normalized weights (|w| <= 1) into a differential pair.
 
-    Magnitudes are rounded to the device's conductance levels; programming
+    Weights are rounded to the device's conductance levels; programming
     variation is a multiplicative Gaussian ``(1 + sigma_rel * N(0,1))``
     drawn from the given seed, clamped back into [g_min, g_max].
 
     Both matrices are planes of one ``(2, rows, cols)`` buffer: plane 0 is
-    ``g_pos``, plane 1 ``g_neg``.  The noise is one ``standard_normal``
-    draw into that buffer, the same stream as a draw for ``g_pos``
-    followed by one for ``g_neg``.
+    ``g_pos``, plane 1 ``g_neg``.  The signed conductance step ``a`` is the
+    ``weight_levels`` array, divided by ``level_scale`` and multiplied by
+    the span in place; the planes are ``max(a, 0) + g_min`` and
+    ``max(-a, 0) + g_min`` (``a`` is negated in place for the second).  The
+    noise is one ``standard_normal`` draw into the buffer, the same stream
+    as a draw for ``g_pos`` followed by one for ``g_neg``; the noisy path
+    adds one plane-sized scratch array and nothing else.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     if w.size and not (-1.0 <= w.min() and w.max() <= 1.0):  # NaN fails both
@@ -115,26 +128,23 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
             raise ContractError("weights must be finite")
         raise ContractError("weight magnitudes must be pre-scaled to [0, 1]")
 
-    q = np.abs(w)
-    if model.levels is not None:
-        q *= model.levels - 1
-        np.rint(q, out=q)
-        q /= model.levels - 1
-    q *= model.g_max - model.g_min
-    # q * (w >= 0) + g_min is bitwise where(w >= 0, g_min + q, g_min): q is finite
+    a = weight_levels(w, model)
+    a /= model.level_scale
+    a *= model.g_max - model.g_min
     g = np.empty((2,) + w.shape)
     if model.sigma_rel > 0:
         np.random.default_rng(seed).standard_normal(out=g)
         g *= model.sigma_rel
         g += 1.0
-        g_on = np.empty_like(q)
-        for plane, on in zip(g, (w >= 0, w < 0)):
-            np.multiply(q, on, out=g_on)
-            g_on += model.g_min
-            plane *= g_on
+        g_on = np.maximum(a, 0.0)
+        g_on += model.g_min
+        g[0] *= g_on
+        np.maximum(np.negative(a, out=a), 0.0, out=g_on)
+        g_on += model.g_min
+        g[1] *= g_on
         np.clip(g, model.g_min, model.g_max, out=g)
     else:
-        for plane, on in zip(g, (w >= 0, w < 0)):
-            np.multiply(q, on, out=plane)
-            plane += model.g_min
+        np.maximum(a, 0.0, out=g[0])
+        np.maximum(np.negative(a, out=a), 0.0, out=g[1])
+        g += model.g_min
     return ConductancePair(g[0], g[1])

@@ -307,6 +307,43 @@ def test_weight_scale_normalizes_block():
     assert bank[0].weight_scale == 4.0
 
 
+@pytest.mark.parametrize("case", ["negative_peak", "all_negative_zero", "row_split"])
+def test_block_scale_is_max_abs_without_a_copy(case):
+    cfg = MacroConfig(device=ideal_device())
+    rng = np.random.default_rng(8)
+    rows = 2 * MAX_ROWS + 9 if case == "row_split" else 6
+    w = rng.uniform(-0.5, 0.5, (rows, 300))
+    if case == "negative_peak":
+        w[3, 1] = -0.9  # the largest magnitude in block 0 is negative
+        w[4, 280] = -0.7
+    elif case == "all_negative_zero":
+        w[:, :256] = -0.0  # block 0 reads the all-zero scale
+    else:
+        w[-1, 290] = -0.8  # the peak of block 1 is in its last row tile
+    plan = map_matrix(*w.shape)
+    bank = MacroBank.build(plan, w, cfg)
+    for block in plan.col_blocks():
+        lo, hi = block[0].col_start, block[0].col_stop
+        want = float(np.max(np.abs(w[:, lo:hi]), initial=0.0)) or 1.0
+        for t in block:
+            assert bank[t.id].weight_scale == want
+    if case == "all_negative_zero":
+        assert bank[0].weight_scale == 1.0
+    elif case == "negative_peak":
+        assert (bank[0].weight_scale, bank[1].weight_scale) == (0.9, 0.7)
+    else:
+        assert len(plan.col_blocks()[1]) == 3 and bank[5].weight_scale == 0.8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_non_finite_weights(bad):
+    cfg = MacroConfig(device=ideal_device())
+    w = np.full((MAX_ROWS + 4, 3), -0.25)
+    w[MAX_ROWS + 1, 2] = bad
+    with pytest.raises(ContractError):
+        MacroBank.build(map_matrix(*w.shape), w, cfg)
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
 def test_build_rejects_bad_weight_scale(scale):
     cfg = MacroConfig(device=ideal_device())

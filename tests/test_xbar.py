@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpcim.cimmacro import MacroConfig, _column_currents, macro_mac
+from fpcim.dac import dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.xbar import (
     ConductancePair,
@@ -216,6 +217,98 @@ def test_one_buffer_program_equals_two_draw_formula(levels, g_min, sigma):
         np.testing.assert_array_equal(pair.g_neg, want_neg)
         for g in (pair.g_pos, pair.g_neg):
             assert g.flags.c_contiguous and not g.flags.writeable
+
+
+def exact_half_level_ties(levels):
+    """Weights w in [-1, 1] with w * (levels - 1) == k + 0.5 exactly."""
+    steps = levels - 1
+    found = []
+    for k in range(-steps, steps):
+        w = (k + 0.5) / steps
+        found += [x for x in (np.nextafter(w, -2.0), w, np.nextafter(w, 2.0))
+                  if x * steps == k + 0.5]
+    return np.array(found)
+
+
+EXTREMES = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324]
+
+
+def int_bits(a):
+    """The int64 bit patterns of a float64 array."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("levels", [2, 3, 5, 16, None])
+@pytest.mark.parametrize("g_min", [0.5e-6, 0.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_program_bits_equal_two_draw_formula_at_ties_and_extremes(levels, g_min, sigma):
+    model = DeviceModel(g_min=g_min, g_max=20e-6, levels=levels, sigma_rel=sigma)
+    w = np.array(EXTREMES)
+    if levels is not None:
+        ties = exact_half_level_ties(levels)
+        assert (ties > 0).any() and (ties < 0).any()
+        w = np.concatenate([w, ties])
+    for tile in (w[:, None], np.tile(w, (3, 1))):
+        pair = program_weights(tile, model, seed=5)
+        want_pos, want_neg = two_draw_program(tile, model, seed=5)
+        np.testing.assert_array_equal(int_bits(pair.g_pos), int_bits(want_pos))
+        np.testing.assert_array_equal(int_bits(pair.g_neg), int_bits(want_neg))
+
+
+@pytest.mark.parametrize("levels", [2, 3, 5, 16])
+def test_weight_levels_is_the_signed_magnitude_formula(levels):
+    # rint(w * (levels-1)) equals sign(w) * rint(|w| * (levels-1)) in value,
+    # and bit for bit except for the sign of the zero at w = -0.0
+    rng = np.random.default_rng(levels)
+    w = np.concatenate([EXTREMES, exact_half_level_ties(levels), rng.uniform(-1, 1, 500)])
+    model = DeviceModel(levels=levels)
+    got = weight_levels(w, model)
+    want = np.sign(w) * np.rint(np.abs(w) * (levels - 1))
+    np.testing.assert_array_equal(got, want)
+    neg_zero = (w == 0) & np.signbit(w)
+    np.testing.assert_array_equal(int_bits(got[~neg_zero]), int_bits(want[~neg_zero]))
+    assert np.signbit(got[neg_zero]).all() and not np.signbit(want[neg_zero]).any()
+
+
+def test_weight_levels_returns_a_fresh_array():
+    w = np.array([[0.25, -0.5]])
+    for model in (NOISELESS, DeviceModel(levels=None)):
+        lv = weight_levels(w, model)
+        assert not np.shares_memory(lv, w)
+        lv *= 2.0
+    np.testing.assert_array_equal(w, [[0.25, -0.5]])
+
+
+def where_form_currents(bits, signs, weights, config):
+    """The sign split as ``np.where(signs, volts, 0.0)``, matmuls as in the macro."""
+    volts = dac_convert_bits(bits, config.fmt, config.dac)
+    v_rev = np.where(signs, volts, 0.0)
+    volts -= v_rev
+    i_pos = volts.T @ weights.g_pos
+    i_pos += v_rev.T @ weights.g_neg
+    i_neg = volts.T @ weights.g_neg
+    i_neg += v_rev.T @ weights.g_pos
+    return i_pos, i_neg
+
+
+@pytest.mark.parametrize("case", ["random", "all_set", "none_set", "zero_codes_set"])
+def test_sign_split_by_product_equals_where_form(case):
+    rng = np.random.default_rng(11)
+    cfg = MacroConfig()
+    pair = program_weights(rng.uniform(-1, 1, (144, 32)), cfg.device)
+    codes = rng.integers(0, 128, (144, 40))
+    signs = rng.random((144, 40)) < 0.5
+    if case == "all_set":
+        signs[:] = True
+    elif case == "none_set":
+        signs[:] = False
+    elif case == "zero_codes_set":
+        codes[::3] = 0
+        signs[::3] = True
+    got = _column_currents(codes, signs, pair, cfg)
+    want = where_form_currents(codes, signs, pair, cfg)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(int_bits(g), int_bits(w))
 
 
 def test_out_of_range_weight_messages():
