@@ -9,8 +9,8 @@ partial-sum planning and a calibrated performance model.
 
 from .adc import AdcConfig, AdcResult, convert_analytic, simulate_transient
 from .cimmacro import MacroConfig, MacroResult, macro_mac, scale_chain
-from .dac import DacConfig, dac_convert, ladder_levels
-from .errors import ConfigError, ContractError, DacSaturationError
+from .dac import dac_convert, ladder_levels
+from .errors import ContractError
 from .fpcodec import E2M5, E3M4, FpCode, FpFormat, decode, encode, quantize_tensor
 from .mapper import LayerSpec, MacroBank, TilePlan, execute_plan, im2col, map_conv, map_fc
 from .perfmodel import EnergyParams, efficiency, throughput, total_comparison
@@ -21,11 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdcConfig",
     "AdcResult",
-    "ConfigError",
     "ConductancePair",
     "ContractError",
-    "DacConfig",
-    "DacSaturationError",
     "DeviceModel",
     "E2M5",
     "E3M4",

@@ -1,19 +1,20 @@
 """Dynamic-range-adaptive FP-ADC model.
 
 The converter integrates the column current onto a reconfigurable
-capacitor bank.  Each time the integrator output reaches ``v_th`` an
+capacitor bank.  Each time the integrator output reaches ``V_TH`` (2 V) an
 extra capacitor is switched in and the charge redistributes, dropping the
-output to exactly ``v_mid = v_th / 2`` thanks to the doubling bank
-``[C, C, 2C, 4C, ...]`` and the 0 V reset level.  The number of
+output to exactly ``V_MID = V_TH / 2`` thanks to the doubling bank
+``[C, C, 2C, 4C, ...]`` and the 0 V reset level ``V_RESET``.  The number of
 charge-share events is the exponent; the residue voltage sampled at
 ``t_int`` is digitized by a single-slope ramp into the mantissa.  A result
-that never reaches ``v_mid`` by the sample moment is not read out (zero
+that never reaches ``V_MID`` by the sample moment is not read out (zero
 code, underflow flag); running out of bank capacitors saturates to the top
 code.  The format read out defines the converter: one bank capacitor per
 exponent step and one ramp step per mantissa code (E2M5: 4 capacitors, 32
-steps; E3M4: 8 and 16), so every converter takes the ``FpFormat`` and
-``AdcConfig`` holds only ``c_int``, ``v_th`` and ``t_int``; ``v_mid`` and
-the reset level are derived from ``v_th``, not set.
+steps; E3M4: 8 and 16), so every converter takes the ``FpFormat``.  The
+levels are constants of the circuit, and ``AdcConfig`` holds only
+``c_int`` and ``t_int``: the threshold reaches a code only through
+``c_int * V_MID``, so ``c_int`` sets every scale the threshold could.
 
 Two conversion paths are provided: ``simulate_transient`` is the
 event-driven simulation with a full trace, ``convert_analytic`` the
@@ -22,14 +23,13 @@ ceiling semantics (the counter stops on the first ramp step at or above
 the sampled voltage, a +1/2 LSB bias), clamped at the top step.
 ``simulate_transient`` ramps against its simulated voltage
 (``single_slope``); ``convert_analytic`` takes the ceiling of the exact
-residue ``x / 2^e - 1`` in ramp steps, so an x on a step reads that step at
-any ``v_th``.  The transient does not: at a ``v_th`` that is not a power of
-two the ramp step is inexact in binary, and an x lying exactly on a step
-can read one step high (42 of the 127 non-zero E2M5 code values at 1.7 V),
-so the two agree off the ramp lattice or at a power-of-two ``v_th``.
-``convert_analytic_array``, the vectorized converter, reads the same code
-from the float64 bit pattern of x: exponent and kept mantissa bits, plus
-one step if a dropped bit is set, clamped at the top step instead of
+residue ``x / 2^e - 1`` in ramp steps.  ``V_TH`` and ``V_MID`` are powers
+of two, so the ramp steps are exact in binary and an exactly integrated x
+on a step reads that step in both; within an ulp or so of a step the
+transient's rounded integration can still read one step apart.
+``convert_analytic_array``, the vectorized converter, reads the same
+code from the float64 bit pattern of x: exponent and kept mantissa bits,
+plus one step if a dropped bit is set, clamped at the top step instead of
 carrying.
 ``int8_baseline_convert`` is the fixed-range INT8 converter the adaptive
 one is compared against; all converters read the same normalized input
@@ -59,6 +59,9 @@ __all__ = [
     "int8_baseline_convert",
     "INT8_LSB",
     "LATENCY_NS",
+    "V_TH",
+    "V_MID",
+    "V_RESET",
     "x_sat",
 ]
 
@@ -67,6 +70,13 @@ __all__ = [
 # fixed-range INT8 baseline needs a 4x longer ramp to keep its LSB,
 # 100 ns + 400 ns.
 LATENCY_NS = {"E2M5": 200, "E3M4": 150, "INT8": 500}
+
+# Integrator levels (volts): the comparator threshold, the 0 V reset the
+# exponent segmentation needs, and the level every charge share lands on,
+# (V_TH + V_RESET) / 2.
+V_TH = 2.0
+V_RESET = 0.0
+V_MID = (V_TH + V_RESET) / 2
 
 
 def x_sat(fmt: FpFormat) -> float:
@@ -82,15 +92,14 @@ INT8_LSB = INT8_FULL_SCALE / 256.0
 
 @dataclass(frozen=True)
 class AdcConfig:
-    """Unit capacitor, threshold and integration window of one column converter.
+    """Unit capacitor and integration window of one column converter.
 
     The bank size and the ramp length come from the format converted
-    (``cap_bank``, ``FpFormat.mant_levels``).  Every field must be finite
-    and positive.
+    (``cap_bank``, ``FpFormat.mant_levels``) and the levels are the module
+    constants.  Every field must be finite and positive.
     """
 
     c_int: float = 100e-15
-    v_th: float = 2.0
     t_int: float = 95e-9
 
     def __post_init__(self):
@@ -99,30 +108,20 @@ class AdcConfig:
             if not 0 < v < math.inf:
                 raise ContractError(f"{f.name} must be finite and positive, got {v!r}")
 
-    @property
-    def v_reset(self) -> float:
-        """Integrator reset level; the exponent segmentation needs 0 V."""
-        return 0.0
-
-    @property
-    def v_mid(self) -> float:
-        """Level every charge share lands on: (v_th + v_reset) / 2."""
-        return self.v_th / 2
-
     def cap_bank(self, fmt: FpFormat) -> tuple[float, ...]:
         """[C, C, 2C, 4C, ...]: one doubling capacitor per exponent step of ``fmt``."""
         return (self.c_int,) + tuple(self.c_int * 2.0**k for k in range(fmt.exp_max))
 
 
 def adc_x(i_mac, config: AdcConfig) -> np.ndarray:
-    """Converter input ``x = i * t_int / (c_int * v_mid)``; x = 1 integrates to v_mid.
+    """Converter input ``x = i * t_int / (c_int * V_MID)``; x = 1 integrates to V_MID.
 
     NaN or negative currents raise; +inf gives x = inf, which saturates.
     """
     i = np.asarray(i_mac, dtype=float)
     if i.size and not np.min(i) >= 0:  # np.min propagates NaN
         raise ContractError("MAC currents must be non-negative and not NaN")
-    return i * config.t_int / (config.c_int * config.v_mid)
+    return i * config.t_int / (config.c_int * V_MID)
 
 
 @dataclass
@@ -153,43 +152,43 @@ def charge_share(v_o: float, c_active: float, c_next: float, v_reset: float = 0.
     return (c_active * v_o + c_next * v_reset) / (c_active + c_next)
 
 
-def single_slope(v_m: float, config: AdcConfig, fmt: FpFormat = E2M5) -> int:
-    """Mantissa code for a sampled voltage in [v_mid, v_th).
+def single_slope(v_m: float, fmt: FpFormat = E2M5) -> int:
+    """Mantissa code for a sampled voltage in [V_MID, V_TH).
 
     Counter semantics: the ramp of ``fmt.mant_levels`` steps starts one
-    step above v_mid and the count is read when it meets or exceeds v_m,
+    step above V_MID and the count is read when it meets or exceeds v_m,
     i.e. ceiling rounding clamped to the top step.
     """
-    if not (config.v_mid <= v_m < config.v_th):
-        raise ContractError(f"sampled voltage {v_m} outside [{config.v_mid}, {config.v_th})")
-    step = (config.v_th - config.v_mid) / fmt.mant_levels
-    k = math.ceil((v_m - config.v_mid) / step)
+    if not (V_MID <= v_m < V_TH):
+        raise ContractError(f"sampled voltage {v_m} outside [{V_MID}, {V_TH})")
+    step = (V_TH - V_MID) / fmt.mant_levels
+    k = math.ceil((v_m - V_MID) / step)
     return min(max(k, 0), fmt.mant_levels - 1)
 
 
 def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcResult:
     """Closed-form conversion of a constant current (no trace).
 
-    With ``x = i_mac * t_int / (c_int * v_mid)``: x < 1 underflows to the
+    With ``x = i_mac * t_int / (c_int * V_MID)``: x < 1 underflows to the
     zero code, ``floor(log2 x)`` beyond the bank (+inf included) saturates
     to the top code, otherwise the exponent is ``floor(log2 x)`` and the
     mantissa the ramp's ceiling of the residue, clamped at the top step.
     The residue is taken in ramp steps as ``(x / 2^e - 1) * mant_levels``,
     exact in floating point (a power-of-two division, a Sterbenz
     subtraction and a power-of-two product), not from the sampled voltage
-    ``v_m = v_mid * x / 2^e``, whose steps need not be exact.
+    ``v_m = V_MID * x / 2^e``.
     """
     x = float(adc_x(i_mac, config))
     if x < 1.0:
-        return AdcResult(FpCode(0, 0, fmt), v_m=x * config.v_mid, underflow=True)
+        return AdcResult(FpCode(0, 0, fmt), v_m=x * V_MID, underflow=True)
     if x >= x_sat(fmt):
         return AdcResult(
-            FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt), v_m=config.v_th, saturated=True
+            FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt), v_m=V_TH, saturated=True
         )
     e = math.frexp(x)[1] - 1  # exact binade, no log rounding at the edges
     r = x / 2.0**e  # in [1, 2)
     mant = min(math.ceil((r - 1.0) * fmt.mant_levels), fmt.mant_levels - 1)
-    return AdcResult(FpCode(e, mant, fmt), v_m=config.v_mid * r)
+    return AdcResult(FpCode(e, mant, fmt), v_m=V_MID * r)
 
 
 def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat = E2M5):
@@ -253,16 +252,14 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
     computed by exact charge conservation.  The bank has one capacitor per
     exponent step of ``fmt`` and the ramp one step per mantissa code.
 
-    This is ``convert_analytic``'s oracle off the ramp lattice.  An x lying
-    exactly on a ramp step can read one step high when ``v_th`` is not a
-    power of two: the mantissa is ``single_slope``'s ceiling of the rounded
-    ``v_m`` over an inexact step, where ``convert_analytic`` takes the exact
-    residue.  At a power-of-two ``v_th`` the two agree everywhere.
+    This is ``convert_analytic``'s oracle.  The mantissa is
+    ``single_slope``'s ceiling of ``v_m`` over a ramp step that is a power
+    of two, so an exactly integrated ``v_m`` on a step reads that step.
     """
     segments = _current_segments(i_of_t, config.t_int)
 
     bank = config.cap_bank(fmt)
-    v = config.v_reset
+    v = V_RESET
     c_active = bank[0]
     shares = 0
     saturated = False
@@ -274,19 +271,19 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
         while t < t1 and not saturated:
             if i <= 0.0:
                 break
-            t_hit = t + (config.v_th - v) * c_active / i
+            t_hit = t + (V_TH - v) * c_active / i
             if t_hit > t1:
                 v += i * (t1 - t) / c_active
                 break
-            trace.append(AdcEvent(t_hit, "threshold-crossing", config.v_th, sw_bits()))
+            trace.append(AdcEvent(t_hit, "threshold-crossing", V_TH, sw_bits()))
             if shares >= fmt.exp_max:
                 # Bank exhausted: integration halts at the full bank.
                 saturated = True
-                v = config.v_th
+                v = V_TH
                 t = t_hit
                 break
             c_next = bank[shares + 1]
-            v = charge_share(config.v_th, c_active, c_next, config.v_reset)
+            v = charge_share(V_TH, c_active, c_next, V_RESET)
             c_active += c_next
             shares += 1
             trace.append(AdcEvent(t_hit, "charge-share", v, sw_bits()))
@@ -299,12 +296,12 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
 
     if saturated:
         code = FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt)
-        return AdcResult(code, v_m=config.v_th, saturated=True, trace=trace)
-    if shares == 0 and v_m < config.v_mid:
+        return AdcResult(code, v_m=V_TH, saturated=True, trace=trace)
+    if shares == 0 and v_m < V_MID:
         return AdcResult(FpCode(0, 0, fmt), v_m=v_m, underflow=True, trace=trace)
-    mant = single_slope(v_m, config, fmt)
-    step = (config.v_th - config.v_mid) / fmt.mant_levels
-    trace.append(AdcEvent(config.t_int, "ramp-compare", config.v_mid + mant * step, sw_bits()))
+    mant = single_slope(v_m, fmt)
+    step = (V_TH - V_MID) / fmt.mant_levels
+    trace.append(AdcEvent(config.t_int, "ramp-compare", V_MID + mant * step, sw_bits()))
     return AdcResult(FpCode(shares, mant, fmt), v_m=v_m, trace=trace)
 
 

@@ -17,7 +17,8 @@ The digital result is reported in dimensionless dot-product units
 conductance level of the cell, or the normalized weight for a continuous
 device).  ``scale_chain`` is the factor mapping one dot-product unit to
 the ADC's internal x value; weights must be pre-scaled so results land
-inside the convertible range.
+inside the convertible range.  The DAC's volts per decoded 1.0, ``v_unit``,
+is the format's ``dac.V_UNIT``.
 
 ``macro_mac`` runs the DAC and the crossbar matmuls on the whole tile and
 batch, then the per-column chain after them (conversion of both columns,
@@ -33,12 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dac as dac_mod
 from . import fpcodec
-from .adc import INT8_LSB, LATENCY_NS, AdcConfig, convert_analytic_array, int8_baseline_convert
-from .dac import DacConfig, dac_convert_bits
+from .adc import (INT8_LSB, LATENCY_NS, V_MID, AdcConfig, convert_analytic_array,
+                  int8_baseline_convert)
+from .dac import V_UNIT, dac_convert_bits
 from .errors import ContractError
-from .fpcodec import E2M5, E3M4, FpFormat
+from .fpcodec import E2M5, FpFormat
 from .xbar import ConductancePair, DeviceModel
 
 __all__ = [
@@ -53,21 +54,16 @@ __all__ = [
 
 READOUTS = ("adc", "identity", "int8")
 
-# Full-scale DAC swing that keeps the top code under ``dac.V_SUPPLY``.
-V_UNIT = {E2M5: 0.1, E3M4: 0.01}
-
 
 @dataclass(frozen=True)
 class MacroConfig:
     fmt: FpFormat = E2M5
-    dac: DacConfig = field(default_factory=DacConfig)
     adc: AdcConfig = field(default_factory=AdcConfig)
     device: DeviceModel = field(default_factory=DeviceModel)
 
     def __post_init__(self):
         if self.latency <= self.adc.t_int:
             raise ContractError("macro latency must exceed the ADC integration window")
-        dac_mod.check_headroom(self.dac, self.fmt)
 
     @property
     def latency(self) -> float:
@@ -76,8 +72,7 @@ class MacroConfig:
 
     @classmethod
     def for_format(cls, fmt: FpFormat, device: DeviceModel | None = None) -> "MacroConfig":
-        return cls(fmt, DacConfig(v_unit=V_UNIT[fmt]),
-                   device=device if device is not None else DeviceModel())
+        return cls(fmt, device=device if device is not None else DeviceModel())
 
 
 @dataclass
@@ -97,8 +92,8 @@ class MacroResult:
 
 
 def scale_chain(config: MacroConfig) -> float:
-    """x value produced by one dot-product unit: v_unit * g_lsb * t_int / c_int."""
-    return config.dac.v_unit * config.device.g_lsb * config.adc.t_int / config.adc.c_int
+    """x value produced by one dot-product unit: V_UNIT[fmt] * g_lsb * t_int / c_int."""
+    return V_UNIT[config.fmt] * config.device.g_lsb * config.adc.t_int / config.adc.c_int
 
 
 def _levels_from_pair(weights: ConductancePair, device: DeviceModel) -> np.ndarray:
@@ -164,7 +159,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     n, cols = i_pos.shape
     out = MacroResult(np.empty((n, cols), np.uint8), np.empty((n, cols), np.uint8),
                       np.empty((n, cols)), np.empty((n, cols), bool), np.empty((n, cols), bool))
-    gain = config.adc.v_mid / scale_chain(config)
+    gain = V_MID / scale_chain(config)
     step = max(1, fpcodec._BLOCK // cols)
     for lo in range(0, n, step):
         vecs = slice(lo, lo + step)
@@ -183,7 +178,7 @@ def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig)
     The (rows, n) voltage arrays are freed on return, before the
     conversion chain allocates.
     """
-    volts = dac_convert_bits(bits, config.fmt, config.dac)
+    volts = dac_convert_bits(bits, config.fmt)
     if signs is None:
         return volts.T @ weights.g_pos, volts.T @ weights.g_neg
     v_rev = volts * signs  # +0.0 where the sign is clear: volts are finite, >= 0

@@ -1,13 +1,5 @@
-"""Exception types shared across the simulator."""
+"""The one exception type shared across the simulator."""
 
 
 class ContractError(ValueError):
-    """An operation was called with arguments outside its contract."""
-
-
-class ConfigError(ValueError):
-    """A configuration violates a type invariant before any run starts."""
-
-
-class DacSaturationError(ConfigError):
-    """A DAC output voltage exceeded the analog supply (configuration bug)."""
+    """An operation or a configuration was given arguments outside its contract."""

@@ -219,6 +219,8 @@ class MacroBank:
             else:
                 cols = w[:, lo:hi]
                 beta = float(max(cols.max(), -cols.min())) or 1.0
+                if not beta < np.inf:  # inf or NaN: fail before w / beta warns on inf / inf
+                    raise ContractError("weights must be finite")
             for t in block:
                 pair = program_weights(w[t.row_start : t.row_stop, lo:hi] / beta,
                                        config.device, seed=seed + t.id)

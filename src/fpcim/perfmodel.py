@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .adc import LATENCY_NS
 from .cimmacro import MacroConfig
-from .errors import ConfigError
+from .errors import ContractError
 from .xbar import MAX_COLS, MAX_ROWS
 
 __all__ = [
@@ -54,7 +54,7 @@ class BlockPowers:
     def __post_init__(self):
         for name in ("dac", "array", "adc", "digital"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"negative {name} power")
+                raise ContractError(f"negative {name} power")
 
     @property
     def total(self) -> float:
@@ -64,7 +64,7 @@ class BlockPowers:
 def throughput_from(rows: int, cols: int, latency: float) -> float:
     """Ops per second: 2 * rows * cols per macro cycle."""
     if latency <= 0:
-        raise ConfigError("latency must be positive")
+        raise ContractError("latency must be positive")
     return OPS_PER_MAC * rows * cols / latency
 
 
@@ -99,7 +99,7 @@ class EnergyParams:
     def __post_init__(self):
         for label, b in self.blocks.items():
             if not isinstance(b, BlockPowers):
-                raise ConfigError(f"block powers for {label} must be BlockPowers")
+                raise ContractError(f"block powers for {label} must be BlockPowers")
 
     def total(self, label: str) -> float:
         return self.blocks[label].total
@@ -127,7 +127,7 @@ def efficiency(config: MacroConfig, params: EnergyParams = DEFAULT_PARAMS) -> fl
     """Ops per joule: throughput over the total power of the config's format."""
     total = params.total(config.fmt.name)
     if total <= 0:
-        raise ConfigError("total power must be positive")
+        raise ContractError("total power must be positive")
     return throughput(config) / total
 
 

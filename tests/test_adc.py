@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from fpcim.adc import (
     LATENCY_NS,
+    V_MID,
+    V_RESET,
+    V_TH,
     AdcConfig,
     adc_x,
     charge_share,
@@ -52,34 +55,34 @@ def test_share_lands_at_v_mid_for_every_bank_stage():
     c = CFG.c_int
     active = c
     for nxt in CFG.cap_bank(E2M5)[1:]:
-        assert charge_share(CFG.v_th, active, nxt, CFG.v_reset) == CFG.v_mid
+        assert charge_share(V_TH, active, nxt, V_RESET) == V_MID
         active += nxt
 
 
 # ---------------------------------------------------------------- single slope
 
 def test_single_slope_paper_value():
-    assert single_slope(1.271, CFG) == 9
+    assert single_slope(1.271) == 9
 
 
 def test_single_slope_bottom():
-    assert single_slope(1.0, CFG) == 0
+    assert single_slope(1.0) == 0
 
 
 def test_single_slope_top_clamps():
-    assert single_slope(1.999, CFG) == 31
+    assert single_slope(1.999) == 31
 
 
 def test_single_slope_exact_step_is_ceiling():
     # 1.28125 sits exactly on step 9; ceiling keeps it there
-    assert single_slope(1.28125, CFG) == 9
+    assert single_slope(1.28125) == 9
 
 
 def test_single_slope_range_contract():
     with pytest.raises(ContractError):
-        single_slope(0.9, CFG)
+        single_slope(0.9)
     with pytest.raises(ContractError):
-        single_slope(2.0, CFG)
+        single_slope(2.0)
 
 
 # ---------------------------------------------------------------- analytic
@@ -109,7 +112,7 @@ def test_analytic_saturation():
 
 
 def test_analytic_underflow_boundary():
-    i_edge = CFG.v_mid * CFG.c_int / CFG.t_int  # ~1.0526 uA
+    i_edge = V_MID * CFG.c_int / CFG.t_int  # ~1.0526 uA
     assert i_edge == pytest.approx(1.0526e-6, rel=1e-3)
     assert convert_analytic(i_edge * 0.999, CFG).underflow
     assert not convert_analytic(i_edge * 1.001, CFG).underflow
@@ -130,16 +133,15 @@ def test_analytic_array_matches_scalar():
         assert values[k] == decode(r.code)
 
 
-def _ramp_sweep(fmt, v_th):
+def _ramp_sweep(fmt):
     """(config, ramp steps, currents) for an exact sweep of x.
 
     The config makes ``adc_x`` an exact scaling by 2^20, so the currents
     land on every ramp step (the code values, 2^e included), every ramp
     midpoint and x_sat, and on +-1 and +-2 ulp around each, plus 0 and +inf.
     """
-    v_mid = v_th / 2
-    cfg = AdcConfig(c_int=2.0**-43 / v_mid, v_th=v_th, t_int=2.0**-23)
-    assert cfg.c_int * cfg.v_mid == 2.0**-43
+    cfg = AdcConfig(c_int=2.0**-43 / V_MID, t_int=2.0**-23)
+    assert cfg.c_int * V_MID == 2.0**-43
     half = np.arange(2 * fmt.mant_levels) / (2 * fmt.mant_levels)
     grid = np.concatenate([np.ldexp(1.0 + half, e) for e in range(fmt.exp_max + 1)]
                           + [[x_sat(fmt)]])
@@ -152,11 +154,10 @@ def _ramp_sweep(fmt, v_th):
 
 
 @pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
-@pytest.mark.parametrize("v_th", [2.0, 3.0, 1.7, 1.3])
-def test_analytic_array_matches_scalar_at_ramp_steps(fmt, v_th):
+def test_analytic_array_matches_scalar_at_ramp_steps(fmt):
     # both converters take the ceiling of the exact residue, so they agree
-    # on every step and its ulp neighbours at any threshold
-    cfg, steps, currents = _ramp_sweep(fmt, v_th)
+    # on every step and its ulp neighbours
+    cfg, steps, currents = _ramp_sweep(fmt)
     codes, under, sat, values = convert_analytic_array(currents, cfg, fmt)
     np.testing.assert_array_equal(values, all_values(fmt)[codes])
     x = adc_x(currents, cfg)
@@ -164,9 +165,12 @@ def test_analytic_array_matches_scalar_at_ramp_steps(fmt, v_th):
         r = convert_analytic(float(i), cfg, fmt)
         assert under[k] == r.underflow and sat[k] == r.saturated
         assert codes[k] == r.code.to_bits(), f"x = {x[k]!r}"
-    # an x on a ramp step reads that step
+    # an x on a ramp step reads that step, in the transient too: it
+    # integrates these currents exactly and the ramp steps are powers of two
     on_step = np.isin(x, steps[1:-1])
     np.testing.assert_array_equal(values[on_step], x[on_step])
+    for i, code in zip(currents[on_step], codes[on_step]):
+        assert simulate_transient(float(i), cfg, fmt).code.to_bits() == code
 
 
 # ---------------------------------------------------------------- transient
@@ -177,11 +181,11 @@ def test_transient_scenario_full_story():
     assert len(shares) == 2
     assert r.code.bit_string() == "1001001"
     assert r.v_m == pytest.approx(1.27775, abs=1e-12)
-    # share moments: t_k = v_th * C_active / i
+    # share moments: t_k = V_TH * C_active / i
     assert shares[0].time == pytest.approx(2.0 * 100e-15 / 5.38e-6, rel=1e-12)
     assert shares[1].time == pytest.approx(2 * 2.0 * 100e-15 / 5.38e-6, rel=1e-12)
-    # every share lands exactly at v_mid
-    assert all(e.v_o == CFG.v_mid for e in shares)
+    # every share lands exactly at V_MID
+    assert all(e.v_o == V_MID for e in shares)
     times = [e.time for e in r.trace]
     assert times == sorted(times)
 
@@ -190,14 +194,14 @@ def test_transient_underflow():
     r = simulate_transient(1.0e-6, CFG)  # below the 1.0526 uA boundary
     assert r.underflow and r.code.is_zero
     assert not share_events(r)
-    assert r.v_m < CFG.v_mid
+    assert r.v_m < V_MID
 
 
 def test_transient_saturation_halts_at_full_bank():
     r = simulate_transient(19e-6, CFG)
     assert r.saturated
     assert r.code.bit_string() == "1111111"
-    assert r.v_m == CFG.v_th
+    assert r.v_m == V_TH
 
 
 def test_transient_share_count_is_exponent():
@@ -206,7 +210,7 @@ def test_transient_share_count_is_exponent():
         r = simulate_transient(float(i), CFG)
         if r.saturated or r.underflow:
             continue
-        x = i * CFG.t_int / (CFG.c_int * CFG.v_mid)
+        x = i * CFG.t_int / (CFG.c_int * V_MID)
         assert len(share_events(r)) == int(math.floor(math.log2(x)))
         assert r.code.exponent == len(share_events(r))
 
@@ -216,7 +220,7 @@ def test_transient_vm_normalized_range():
     for i in rng.uniform(0, 20e-6, 300):
         r = simulate_transient(float(i), CFG)
         if not r.underflow and not r.saturated:
-            assert CFG.v_mid <= r.v_m < CFG.v_th
+            assert V_MID <= r.v_m < V_TH
 
 
 def test_transient_charge_conservation_and_continuity():
@@ -231,12 +235,12 @@ def test_transient_charge_conservation_and_continuity():
             if ev.kind != "charge-share":
                 continue
             c_next = bank[sum(ev.switch_state)]
-            q_before = c_active * CFG.v_th + c_next * CFG.v_reset
+            q_before = c_active * V_TH + c_next * V_RESET
             q_after = (c_active + c_next) * ev.v_o
             assert q_after == pytest.approx(q_before, rel=1e-12)
-            i_before = (CFG.v_th - CFG.v_reset) / ev.time * c_active
+            i_before = (V_TH - V_RESET) / ev.time * c_active
             c_active += c_next
-            i_after = (ev.v_o - CFG.v_reset) / ev.time * c_active
+            i_after = (ev.v_o - V_RESET) / ev.time * c_active
             assert i_before == pytest.approx(i_after, rel=1e-12)
 
 
@@ -292,7 +296,7 @@ def test_oracle_equivalence_property(i):
     # The two routes compute different float expressions, so inputs whose
     # residue lands exactly on a ramp step or segment boundary can flip by
     # one ulp; agreement is over the open complement of that lattice.
-    x = i * CFG.t_int / (CFG.c_int * CFG.v_mid)
+    x = i * CFG.t_int / (CFG.c_int * V_MID)
     frac = (x / 2.0 ** (math.frexp(x)[1] - 1)) * E2M5.mant_levels if x > 0 else 0.5
     on_lattice = (
         abs(x - round(x)) < 1e-9 or abs(frac - round(frac)) < 1e-9
@@ -378,11 +382,9 @@ def test_trace_kinds():
 
 
 def test_config_validation():
-    # the midpoint and the doubling bank are derived, not set
-    assert AdcConfig(v_th=3.0).v_mid == 1.5
+    # the levels are fixed and the doubling bank is derived, not set
+    assert (V_TH, V_MID, V_RESET) == (2.0, 1.0, 0.0)
     assert AdcConfig().cap_bank(E2M5) == (100e-15, 100e-15, 200e-15, 400e-15)
-    with pytest.raises(ContractError):
-        AdcConfig(v_th=0.0)
     with pytest.raises(ContractError):
         AdcConfig(c_int=-1e-15)
     with pytest.raises(ContractError):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from fpcim import cimmacro, fpcodec
+from fpcim import fpcodec
 from fpcim.adc import (
     INT8_FULL_SCALE,
     INT8_LSB,
+    V_MID,
     AdcConfig,
     convert_analytic,
     convert_analytic_array,
@@ -15,8 +16,8 @@ from fpcim.adc import (
     x_sat,
 )
 from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
-from fpcim.dac import DacConfig, dac_convert, dac_convert_bits
-from fpcim.errors import ContractError, DacSaturationError
+from fpcim.dac import V_UNIT, dac_convert, dac_convert_bits
+from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, E3M4, FpCode, decode, decode_bits
 from fpcim.xbar import DeviceModel, program_weights, weight_levels
 
@@ -35,9 +36,10 @@ def test_scale_chain_reference_value():
 
 
 def test_scale_chain_linear_in_v_unit():
-    a = MacroConfig(dac=DacConfig(v_unit=0.05))
-    b = MacroConfig(dac=DacConfig(v_unit=0.1))
-    assert scale_chain(b) == pytest.approx(2 * scale_chain(a), rel=1e-12)
+    # the format sets v_unit: 0.1 V for E2M5, 0.01 V for E3M4
+    a = MacroConfig(fmt=E3M4)
+    b = MacroConfig(fmt=E2M5)
+    assert scale_chain(b) == pytest.approx(10 * scale_chain(a), rel=1e-12)
 
 
 def test_scale_chain_inverse_in_c_int():
@@ -63,10 +65,10 @@ def test_single_active_row_matches_explicit_chain():
     bits = np.zeros(4, dtype=np.uint8)
     bits[1] = code.to_bits()
 
-    volts = dac_convert(code, cfg.dac)
+    volts = dac_convert(code)
     current = (np.array([0.0, volts, 0.0, 0.0]).T @ weights.g_pos)[0]
     oracle = convert_analytic(float(current), cfg.adc, cfg.fmt)
-    expected_dot = decode(oracle.code) * cfg.adc.v_mid / scale_chain(cfg)
+    expected_dot = decode(oracle.code) * V_MID / scale_chain(cfg)
 
     res = macro_mac(bits, weights, cfg)
     assert res.pos_bits[0] == oracle.code.to_bits()
@@ -91,7 +93,7 @@ def test_random_macro_against_analytic_oracle():
 
         res = macro_mac(bits, weights, cfg)
 
-        volts = decode_bits(bits, cfg.fmt) * cfg.dac.v_unit
+        volts = decode_bits(bits, cfg.fmt) * V_UNIT[cfg.fmt]
         for j in range(cols):
             i_pos = float(volts @ weights.g_pos[:, j])
             i_neg = float(volts @ weights.g_neg[:, j])
@@ -171,15 +173,6 @@ def test_batched_inputs_match_single():
         np.testing.assert_array_equal(res.pos_bits[k], one.pos_bits)
 
 
-def test_dac_saturation_aborts():
-    cfg = MacroConfig(dac=DacConfig(v_unit=0.15))  # 15.75*0.15=2.3625 < 2.5 ok
-    weights = program_weights(np.ones((2, 1)), cfg.device)
-    bits = np.full(2, 0b1111111, dtype=np.uint8)
-    macro_mac(bits, weights, cfg)  # fits
-    with pytest.raises(DacSaturationError):
-        MacroConfig(dac=DacConfig(v_unit=0.2))  # 3.15 V > supply
-
-
 def test_shape_contracts():
     cfg = small_config()
     weights = program_weights(np.zeros((4, 2)), cfg.device)
@@ -197,7 +190,6 @@ def test_shape_contracts():
 def test_e3m4_macro_config():
     cfg = MacroConfig.for_format(E3M4)
     assert cfg.latency == pytest.approx(150e-9)
-    assert cfg.dac.v_unit == pytest.approx(0.01)
     assert cfg.adc == AdcConfig()
     weights = program_weights(np.full((4, 2), 0.5), cfg.device)
     bits = np.full(4, (3 << 4) | 2, dtype=np.uint8)
@@ -214,7 +206,7 @@ def test_int8_readout_matches_baseline_converter():
     bits = np.arange(128, dtype=np.uint8)[None, :]
     res = macro_mac(bits, weights, cfg, readout="int8")
 
-    volts = dac_convert_bits(bits, cfg.fmt, cfg.dac)
+    volts = dac_convert_bits(bits, cfg.fmt)
     pos, under_p, sat_p = int8_baseline_convert(volts.T @ weights.g_pos, cfg.adc)
     neg, under_n, sat_n = int8_baseline_convert(volts.T @ weights.g_neg, cfg.adc)
     np.testing.assert_array_equal(res.pos_bits, pos)
@@ -231,12 +223,13 @@ def test_non_integer_codes_rejected():
 
 
 def test_default_adc_serves_every_format():
-    # the ADC config holds no format: the E3M4 macro uses the default ADC
-    assert MacroConfig(fmt=E3M4, dac=DacConfig(v_unit=0.01)) == MacroConfig.for_format(E3M4)
+    # neither converter config holds a format: every format builds with the defaults
+    for fmt in (E2M5, E3M4):
+        assert MacroConfig(fmt=fmt) == MacroConfig.for_format(fmt)
 
 
 CONFIG_FLOATS = [pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
-                 for cls in (AdcConfig, DacConfig, DeviceModel)
+                 for cls in (AdcConfig, DeviceModel)
                  for f in dataclasses.fields(cls) if f.type in (float, "float")]
 
 
@@ -250,7 +243,7 @@ def test_non_finite_config_field_rejected(cls, name, bad):
 
 def unblocked_macro_mac(bits, weights, cfg, signs, readout):
     """The macro chain from public stages on the whole batch, no blocks."""
-    volts = dac_convert_bits(bits, cfg.fmt, cfg.dac)
+    volts = dac_convert_bits(bits, cfg.fmt)
     if signs is None:
         i_pos, i_neg = volts.T @ weights.g_pos, volts.T @ weights.g_neg
     else:
@@ -266,7 +259,7 @@ def unblocked_macro_mac(bits, weights, cfg, signs, readout):
             codes, under, sat = int8_baseline_convert(currents, cfg.adc)
             out.append((codes, codes * INT8_LSB, under, sat))
     (pb, xp, up, sp), (nb, xn, un, sn) = out
-    digital = (xp - xn) * (cfg.adc.v_mid / scale_chain(cfg))
+    digital = (xp - xn) * (V_MID / scale_chain(cfg))
     return pb, nb, digital, up & un, sp | sn
 
 
@@ -282,13 +275,12 @@ def test_blocked_chain_equals_unblocked_composition(fmt, readout, signed):
     bits = rng.integers(0, 128, (rows, n)).astype(np.uint8)
     signs = rng.random((rows, n)) < 0.5 if signed else None
     # integration capacitor sized so the largest column current reads 0.9 of full scale
-    dac = DacConfig(v_unit=cimmacro.V_UNIT[fmt])
-    volts = dac_convert_bits(bits, fmt, dac)
+    volts = dac_convert_bits(bits, fmt)
     i_max = max(float(np.max(volts.T @ weights.g_pos)), float(np.max(volts.T @ weights.g_neg)))
     base = AdcConfig()
     full = x_sat(fmt) if readout == "adc" else INT8_FULL_SCALE
-    adc = AdcConfig(c_int=i_max * base.t_int / (base.v_mid * 0.9 * full))
-    cfg = MacroConfig(fmt, dac, adc, device)
+    adc = AdcConfig(c_int=i_max * base.t_int / (V_MID * 0.9 * full))
+    cfg = MacroConfig(fmt, adc, device)
 
     res = macro_mac(bits, weights, cfg, signs=signs, readout=readout)
     assert not res.saturated.any() and not res.underflow.all()

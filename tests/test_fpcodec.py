@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpcim import fpcodec
-from fpcim.dac import DacConfig, dac_convert_bits
+from fpcim.dac import dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.fpcodec import (
     E2M5,
@@ -77,7 +77,7 @@ def test_all_128_codes_distinct_and_increasing(fmt):
 
 @pytest.mark.parametrize("decoder", [
     lambda b: decode_bits(b, E2M5),
-    lambda b: dac_convert_bits(b, E2M5, DacConfig()),
+    lambda b: dac_convert_bits(b, E2M5),
     lambda b: dequantize_tensor(QuantResult(b, np.zeros(b.shape, bool), QuantScale(1.0)), E2M5),
 ], ids=["decode_bits", "dac_convert_bits", "dequantize_tensor"])
 def test_non_integer_codes_rejected(decoder):

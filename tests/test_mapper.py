@@ -219,7 +219,7 @@ def test_blocks_from_first_tile_equal_zeros_plus_add(readout, rows):
     # two column blocks of one tile or two row tiles each, summed from their
     # first tile's result, against the sum from zero; compared bit for bit,
     # so a -0.0 written where the sum from +0.0 gives +0.0 would fail
-    from fpcim.adc import AdcConfig
+    from fpcim.adc import V_MID, AdcConfig
     from fpcim.cimmacro import macro_mac
     from fpcim.dac import dac_convert_bits
 
@@ -236,12 +236,10 @@ def test_blocks_from_first_tile_equal_zeros_plus_add(readout, rows):
     assert [len(b) for b in plan.col_blocks()] == [len(plan.tiles) // 2] * 2
     # integration capacitor sized so the largest column current reads 0.9 of full scale
     device = ideal_device()
-    dac = MacroConfig().dac
-    volts = dac_convert_bits(bits, E2M5, dac)
+    volts = dac_convert_bits(bits, E2M5)
     i_max = float(np.max(volts.T @ np.abs(w))) * device.g_max
     base = AdcConfig()
-    cfg = MacroConfig(E2M5, dac, AdcConfig(c_int=i_max * base.t_int / (base.v_mid * 0.9 * 16)),
-                      device)
+    cfg = MacroConfig(E2M5, AdcConfig(c_int=i_max * base.t_int / (V_MID * 0.9 * 16)), device)
     bank = MacroBank.build(plan, w, cfg)
 
     res = execute_plan(plan, bits, bank, signs=signs, readout=readout)
@@ -335,6 +333,7 @@ def test_block_scale_is_max_abs_without_a_copy(case):
         assert len(plan.col_blocks()[1]) == 3 and bank[5].weight_scale == 0.8
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_build_rejects_non_finite_weights(bad):
     cfg = MacroConfig(device=ideal_device())

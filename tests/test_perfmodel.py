@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpcim.cimmacro import MacroConfig
-from fpcim.errors import ConfigError
+from fpcim.errors import ContractError
 from fpcim.fpcodec import E3M4
 from fpcim.perfmodel import (
     DEFAULT_PARAMS,
@@ -109,8 +109,8 @@ def test_ratios_scale_invariant():
 
 
 def test_zero_power_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError):
         BlockPowers(-1.0, 0, 0, 0)
     zero = EnergyParams({"E2M5": BlockPowers(0, 0, 0, 0)})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError):
         efficiency(MacroConfig(), zero)

@@ -281,7 +281,7 @@ def test_weight_levels_returns_a_fresh_array():
 
 def where_form_currents(bits, signs, weights, config):
     """The sign split as ``np.where(signs, volts, 0.0)``, matmuls as in the macro."""
-    volts = dac_convert_bits(bits, config.fmt, config.dac)
+    volts = dac_convert_bits(bits, config.fmt)
     v_rev = np.where(signs, volts, 0.0)
     volts -= v_rev
     i_pos = volts.T @ weights.g_pos
