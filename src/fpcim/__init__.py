@@ -9,11 +9,10 @@ partial-sum planning and a calibrated performance model.
 
 from .adc import AdcConfig, AdcResult, convert_analytic, simulate_transient
 from .cimmacro import MacroConfig, MacroResult, macro_mac, scale_chain
-from .dac import dac_convert, ladder_levels
 from .errors import ContractError
 from .fpcodec import E2M5, E3M4, FpCode, FpFormat, decode, encode, quantize_tensor
 from .mapper import LayerSpec, MacroBank, TilePlan, execute_plan, im2col, map_conv, map_fc
-from .perfmodel import EnergyParams, efficiency, throughput, total_comparison
+from .perfmodel import EnergyParams, total_comparison
 from .xbar import ConductancePair, DeviceModel, program_weights
 
 __version__ = "0.1.0"
@@ -35,13 +34,10 @@ __all__ = [
     "MacroResult",
     "TilePlan",
     "convert_analytic",
-    "dac_convert",
     "decode",
-    "efficiency",
     "encode",
     "execute_plan",
     "im2col",
-    "ladder_levels",
     "macro_mac",
     "map_conv",
     "map_fc",
@@ -49,6 +45,5 @@ __all__ = [
     "quantize_tensor",
     "scale_chain",
     "simulate_transient",
-    "throughput",
     "total_comparison",
 ]

@@ -311,9 +311,11 @@ def int8_baseline_convert(i_mac, config: AdcConfig):
     Uniform 256-step quantization of x over [0, 16) with the same ceiling
     counter semantics; the fixed range costs a 4x longer ramp on the
     100 ns readout (``LATENCY_NS``).  Returns (codes uint8, underflow,
-    saturated) arrays shaped like ``i_mac``: the zero code underflows, and
-    x at or beyond the full scale (+inf included) saturates.
+    saturated, x value of each code) arrays shaped like ``i_mac``, in
+    ``convert_analytic_array``'s order: the zero code underflows, x at or
+    beyond the full scale (+inf included) saturates, and a code's x value
+    is ``code * INT8_LSB``.
     """
     x = adc_x(i_mac, config)
     codes = np.clip(np.ceil(x / INT8_LSB), 0, 255)
-    return codes.astype(np.uint8), codes == 0, x >= INT8_FULL_SCALE
+    return codes.astype(np.uint8), codes == 0, x >= INT8_FULL_SCALE, codes * INT8_LSB

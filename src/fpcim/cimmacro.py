@@ -6,19 +6,18 @@ currents of its column pairs: the pair's shape, at most ``xbar.MAX_ROWS``
 x ``xbar.MAX_COLS`` (576x256), is the tile's geometry, and ``MacroConfig``
 holds only what the tiles of a bank share.  Both columns of a pair go
 through the same converter, the adaptive FP-ADC (``readout="adc"``) or the
-fixed-range INT8 baseline (``"int8"``).  The FP-ADC returns each code's x
-value with the code; an INT8 code is scaled by ``INT8_LSB``.  The two x
-values are subtracted digitally in double precision, so the converter
+fixed-range INT8 baseline (``"int8"``).  Both return ``(codes,
+underflow, saturated, x)``, with x the value each code reads as.  The two
+x values are subtracted digitally in double precision, so the converter
 never sees a signed value.  ``"identity"`` bypasses the analog chain and
 returns the exact dot product.
 
 The digital result is reported in dimensionless dot-product units
 ``sum_i decode(input_i) * level_i`` (``level`` the signed integer
-conductance level of the cell, or the normalized weight for a continuous
-device).  ``scale_chain`` is the factor mapping one dot-product unit to
-the ADC's internal x value; weights must be pre-scaled so results land
-inside the convertible range.  The DAC's volts per decoded 1.0, ``v_unit``,
-is the format's ``dac.V_UNIT``.
+conductance level of the cell).  ``scale_chain`` is the factor mapping
+one dot-product unit to the ADC's internal x value; weights must be
+pre-scaled so results land inside the convertible range.  The DAC's
+volts per decoded 1.0, ``v_unit``, is the format's ``dac.V_UNIT``.
 
 ``macro_mac`` runs the DAC and the crossbar matmuls on the whole tile and
 batch, then the per-column chain after them (conversion of both columns,
@@ -35,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fpcodec
-from .adc import (INT8_LSB, LATENCY_NS, V_MID, AdcConfig, convert_analytic_array,
-                  int8_baseline_convert)
+from .adc import LATENCY_NS, V_MID, AdcConfig, convert_analytic_array, int8_baseline_convert
 from .dac import V_UNIT, dac_convert_bits
 from .errors import ContractError
 from .fpcodec import E2M5, FpFormat
@@ -98,10 +96,7 @@ def scale_chain(config: MacroConfig) -> float:
 
 def _levels_from_pair(weights: ConductancePair, device: DeviceModel) -> np.ndarray:
     """Signed levels read back from a differential pair (noiseless device)."""
-    raw = (weights.g_pos - weights.g_neg) / device.g_lsb
-    if device.levels is None:
-        return raw
-    return np.rint(raw)
+    return np.rint((weights.g_pos - weights.g_neg) / device.g_lsb)
 
 
 def batch_inputs(input_bits, signs=None):
@@ -163,8 +158,8 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     step = max(1, fpcodec._BLOCK // cols)
     for lo in range(0, n, step):
         vecs = slice(lo, lo + step)
-        out.pos_bits[vecs], x_pos, under_p, sat_p = _convert(readout, i_pos[vecs], config)
-        out.neg_bits[vecs], x_neg, under_n, sat_n = _convert(readout, i_neg[vecs], config)
+        out.pos_bits[vecs], under_p, sat_p, x_pos = _convert(readout, i_pos[vecs], config)
+        out.neg_bits[vecs], under_n, sat_n, x_neg = _convert(readout, i_neg[vecs], config)
         digital = np.subtract(x_pos, x_neg, out=out.digital_values[vecs])
         digital *= gain
         np.logical_and(under_p, under_n, out=out.underflow[vecs])
@@ -191,12 +186,10 @@ def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig)
 
 
 def _convert(readout: str, currents: np.ndarray, config: MacroConfig):
-    """Convert one column of each pair: (codes, their x values, underflow, saturated)."""
+    """Convert one column of each pair: (codes, underflow, saturated, their x values)."""
     if readout == "adc":
-        codes, underflow, saturated, x = convert_analytic_array(currents, config.adc, config.fmt)
-        return codes, x, underflow, saturated
-    codes, underflow, saturated = int8_baseline_convert(currents, config.adc)
-    return codes, codes * INT8_LSB, underflow, saturated
+        return convert_analytic_array(currents, config.adc, config.fmt)
+    return int8_baseline_convert(currents, config.adc)
 
 
 def _squeeze_result(r: MacroResult, single: bool) -> MacroResult:

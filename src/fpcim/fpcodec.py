@@ -8,7 +8,7 @@ leading one and zero exponent bias, so the non-zero range is [1 + 2^-M,
 band as a separate bit array; the 7-bit code itself is unsigned.
 
 Serialized codes occupy the low 7 bits of a byte, exponent in the high
-bits: ``[e..e m..m]``, e.g. E2M5 exponent 2 / mantissa 30 prints "1011110".
+bits: ``[e..e m..m]``, e.g. E2M5 exponent 2 / mantissa 30 is ``0b1011110``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import ContractError
 __all__ = [
     "FpFormat",
     "FpCode",
-    "QuantScale",
     "EncodeResult",
     "E2M5",
     "E3M4",
@@ -34,7 +33,6 @@ __all__ = [
     "encode_values",
     "all_values",
     "quantize_tensor",
-    "dequantize_tensor",
 ]
 
 CODE_BITS = 7
@@ -80,10 +78,6 @@ class FpFormat:
         """Smallest non-zero decodable value, 1 + 2^-M."""
         return 1.0 + 1.0 / self.mant_levels
 
-    @property
-    def code_count(self) -> int:
-        return 1 << CODE_BITS
-
 
 E2M5 = FpFormat(2, 5)
 E3M4 = FpFormat(3, 4)
@@ -91,13 +85,16 @@ E3M4 = FpFormat(3, 4)
 
 @dataclass(frozen=True)
 class FpCode:
-    """One 7-bit hardware code: unsigned exponent and mantissa fields."""
+    """One 7-bit hardware code: unsigned integer exponent and mantissa fields."""
 
     exponent: int
     mantissa: int
     format: FpFormat = E2M5
 
     def __post_init__(self):
+        for v in (self.exponent, self.mantissa):
+            if not isinstance(v, (int, np.integer)):
+                raise ContractError(f"code fields must be integers, got {v!r}")
         if not 0 <= self.exponent <= self.format.exp_max:
             raise ContractError(f"exponent {self.exponent} out of range for {self.format.name}")
         if not 0 <= self.mantissa < self.format.mant_levels:
@@ -112,29 +109,9 @@ class FpCode:
 
     @classmethod
     def from_bits(cls, bits: int, fmt: FpFormat = E2M5) -> "FpCode":
-        if not 0 <= bits < (1 << CODE_BITS):
-            raise ContractError(f"code bits {bits} do not fit in 7 bits")
+        if not (isinstance(bits, (int, np.integer)) and 0 <= bits < (1 << CODE_BITS)):
+            raise ContractError(f"code bits {bits!r} are not a 7-bit integer")
         return cls(bits >> fmt.mantissa_bits, bits & (fmt.mant_levels - 1), fmt)
-
-    def bit_string(self) -> str:
-        return format(self.to_bits(), f"0{CODE_BITS}b")
-
-    @classmethod
-    def from_bit_string(cls, s: str, fmt: FpFormat = E2M5) -> "FpCode":
-        if len(s) != CODE_BITS or set(s) - {"0", "1"}:
-            raise ContractError(f"not a 7-bit code string: {s!r}")
-        return cls.from_bits(int(s, 2), fmt)
-
-
-@dataclass(frozen=True)
-class QuantScale:
-    """Multiplier mapping real tensor values into the decodable range."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ContractError("quantization scale must be positive")
 
 
 class EncodeResult(NamedTuple):
@@ -154,8 +131,8 @@ def decode(code: FpCode) -> float:
 @functools.cache
 def all_values(fmt: FpFormat) -> np.ndarray:
     """All 128 decoded values in code-bit order (index = bit pattern); read-only."""
-    e = np.arange(fmt.code_count) >> fmt.mantissa_bits
-    m = np.arange(fmt.code_count) & (fmt.mant_levels - 1)
+    e = np.arange(1 << CODE_BITS) >> fmt.mantissa_bits
+    m = np.arange(1 << CODE_BITS) & (fmt.mant_levels - 1)
     vals = (1.0 + m / fmt.mant_levels) * np.exp2(e)
     vals[0] = 0.0
     vals.flags.writeable = False
@@ -252,7 +229,7 @@ def decode_bits(bits: np.ndarray, fmt: FpFormat = E2M5) -> np.ndarray:
 class QuantResult(NamedTuple):
     codes: np.ndarray  # uint8 bit patterns
     signs: np.ndarray  # bool, True where the source value was negative
-    scale: QuantScale
+    scale: float  # multiplier mapping real values into the decodable range
 
 
 def quantize_tensor(values: np.ndarray, fmt: FpFormat = E2M5, scale: float | None = None) -> QuantResult:
@@ -286,9 +263,4 @@ def quantize_tensor(values: np.ndarray, fmt: FpFormat = E2M5, scale: float | Non
         chunk = np.abs(flat[lo : lo + _BLOCK])
         chunk *= scale
         codes[lo : lo + _BLOCK] = _encode_codes(chunk, fmt)
-    return QuantResult(codes.reshape(x.shape), x < 0, QuantScale(scale))
-
-
-def dequantize_tensor(q: QuantResult, fmt: FpFormat = E2M5) -> np.ndarray:
-    vals = decode_bits(q.codes, fmt) / q.scale.scale
-    return np.where(q.signs, -vals, vals)
+    return QuantResult(codes.reshape(x.shape), x < 0, float(scale))

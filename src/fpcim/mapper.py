@@ -15,7 +15,7 @@ accumulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Dimensions of one weight-bearing layer (conv or fc)."""
+    """Dimensions of one weight-bearing layer (conv or fc), all integers."""
 
     kind: str
     in_channels: int = 0
@@ -54,6 +54,10 @@ class LayerSpec:
     out_features: int = 0
 
     def __post_init__(self):
+        for f in fields(self)[1:]:
+            v = getattr(self, f.name)
+            if not isinstance(v, (int, np.integer)):
+                raise ContractError(f"{f.name} must be an integer, got {v!r}")
         if self.kind == "conv":
             if min(self.in_channels, self.kernel, self.out_channels, self.stride) < 1:
                 raise ContractError("conv dimensions must be >= 1")
@@ -119,8 +123,8 @@ def map_matrix(rows: int, cols: int) -> TilePlan:
     Tile ids run over the column blocks in order, and over the row blocks
     within one.
     """
-    if rows < 1 or cols < 1:
-        raise ContractError("matrix dimensions must be >= 1")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (rows, cols)):
+        raise ContractError(f"matrix dimensions must be integers >= 1, got {rows!r} x {cols!r}")
     plan = TilePlan(rows, cols)
     for cb in range(math.ceil(cols / MAX_COLS)):
         for rb in range(math.ceil(rows / MAX_ROWS)):
@@ -202,11 +206,13 @@ class MacroBank:
         outputs of its row tiles are summable: ``weight_scale`` if given,
         else the block's max-abs weight, ``max(block.max(), -block.min())``
         read without an ``|w|`` copy (1 for an all-zero block).  A given
-        scale must be finite and positive.  Tile ``t`` is programmed with
-        seed ``seed + t.id``.
+        scale must be finite and positive.  ``seed`` must be a non-negative
+        integer; tile ``t`` is programmed with seed ``seed + t.id``.
         """
         if weight_scale is not None and not 0 < weight_scale < np.inf:
             raise ContractError(f"weight_scale must be finite and positive, got {weight_scale}")
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
         w = np.asarray(weights, dtype=float)
         if w.shape != (plan.rows, plan.cols):
             raise ContractError(f"weight matrix {w.shape} does not match plan "
@@ -274,13 +280,13 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
                              signs=None if signs is None else signs[t.row_start : t.row_stop],
                              readout=readout) for t in block)
         first = next(results)
-        raw = first.digital_values.reshape(n, -1)  # a fresh array: safe to add into
-        under[:, lo:hi] = first.underflow.reshape(n, -1)
-        sat[:, lo:hi] = first.saturated.reshape(n, -1)
+        raw = first.digital_values  # (n, cols), a fresh array: safe to add into
+        under[:, lo:hi] = first.underflow
+        sat[:, lo:hi] = first.saturated
         for res in results:
-            raw += res.digital_values.reshape(n, -1)
-            under[:, lo:hi] &= res.underflow.reshape(n, -1)
-            sat[:, lo:hi] |= res.saturated.reshape(n, -1)
+            raw += res.digital_values
+            under[:, lo:hi] &= res.underflow
+            sat[:, lo:hi] |= res.saturated
         np.multiply(raw, scale, out=out[:, lo:hi])
     if single:
         return PlanResult(out.reshape(-1), under.reshape(-1), sat.reshape(-1))

@@ -1,8 +1,9 @@
 """Analytic latency / throughput / power / efficiency model.
 
-This is a calibrated model, not a circuit power estimator: per-block
-powers are inputs.  The defaults are back-solved so that the design-point
-comparison table reproduces the macro's published figures (1474.56 GOPS
+This is a calibrated model, not a circuit power estimator: the per-block
+powers of each macro (``DEFAULT_PARAMS``) are back-solved so that the
+comparison table, ``total_comparison`` with one row per macro (E2M5, E3M4
+and the INT8 baseline), reproduces the macro's published figures (1474.56 GOPS
 at 19.89 TOPS/W for E2M5, 1966.08 GOPS at 14.12 TOPS/W for E3M4, the
 56.4% ADC power saving and 46.5% total saving against the INT8 baseline,
 and the 2.5x conversion-time penalty of the fixed-range INT8 ADC).
@@ -12,11 +13,11 @@ reproduces those throughput numbers exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .adc import LATENCY_NS
-from .cimmacro import MacroConfig
 from .errors import ContractError
 from .xbar import MAX_COLS, MAX_ROWS
 
@@ -24,9 +25,7 @@ __all__ = [
     "BlockPowers",
     "EnergyParams",
     "PerfReport",
-    "throughput",
     "throughput_from",
-    "efficiency",
     "adc_comparison",
     "total_comparison",
     "DEFAULT_PARAMS",
@@ -44,7 +43,7 @@ TOTAL_POWER_REDUCTION = 0.465  # E2M5 macro vs INT8 macro
 
 @dataclass(frozen=True)
 class BlockPowers:
-    """Per-block macro power in watts."""
+    """Per-block macro power in watts; every block finite and non-negative."""
 
     dac: float
     array: float
@@ -52,9 +51,10 @@ class BlockPowers:
     digital: float
 
     def __post_init__(self):
-        for name in ("dac", "array", "adc", "digital"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"negative {name} power")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not 0 <= v < math.inf:
+                raise ContractError(f"{f.name} power must be finite and non-negative, got {v!r}")
 
     @property
     def total(self) -> float:
@@ -118,43 +118,30 @@ class PerfReport:
     blocks: BlockPowers
 
 
-def throughput(config: MacroConfig) -> float:
-    """Ops per second of a full ``MAX_ROWS`` x ``MAX_COLS`` macro at the config's latency."""
-    return throughput_from(MAX_ROWS, MAX_COLS, config.latency)
-
-
-def efficiency(config: MacroConfig, params: EnergyParams = DEFAULT_PARAMS) -> float:
-    """Ops per joule: throughput over the total power of the config's format."""
-    total = params.total(config.fmt.name)
-    if total <= 0:
-        raise ContractError("total power must be positive")
-    return throughput(config) / total
-
-
-def adc_comparison(params: EnergyParams = DEFAULT_PARAMS, label: str = "E2M5") -> dict:
-    """Conversion-time and ADC-power ratios against the INT8 baseline.
+def adc_comparison() -> dict:
+    """Conversion-time and ADC-power ratios of the E2M5 macro against the INT8 baseline.
 
     The fixed-range converter needs a 2^2 = 4x longer ramp on its 100 ns
     readout to add two bits at the same LSB, stretching the conversion
     from 200 ns to 500 ns; the ADC power saving is a calibrated parameter.
     """
-    time_ratio = Fraction(LATENCY_NS["INT8"], LATENCY_NS[label])
+    power_ratio = DEFAULT_PARAMS.blocks["E2M5"].adc / DEFAULT_PARAMS.blocks["INT8"].adc
     return {
-        "fp_conversion_ns": LATENCY_NS[label],
+        "fp_conversion_ns": LATENCY_NS["E2M5"],
         "int8_conversion_ns": LATENCY_NS["INT8"],
-        "time_ratio": float(time_ratio),
+        "time_ratio": float(Fraction(LATENCY_NS["INT8"], LATENCY_NS["E2M5"])),
         "int8_ramp_factor": 4,
-        "adc_power_ratio": params.blocks[label].adc / params.blocks["INT8"].adc,
-        "adc_power_reduction": 1.0 - params.blocks[label].adc / params.blocks["INT8"].adc,
+        "adc_power_ratio": power_ratio,
+        "adc_power_reduction": 1.0 - power_ratio,
     }
 
 
-def total_comparison(params: EnergyParams = DEFAULT_PARAMS) -> list[PerfReport]:
-    """Three-format macro comparison table (E2M5, E3M4, INT8)."""
+def total_comparison() -> list[PerfReport]:
+    """Three-macro comparison table (E2M5, E3M4, INT8) at the calibrated powers."""
     out = []
     for label in ("E2M5", "E3M4", "INT8"):
         latency = LATENCY_NS[label] * 1e-9
         tp = throughput_from(MAX_ROWS, MAX_COLS, latency)
-        total = params.total(label)
-        out.append(PerfReport(label, latency, tp, total, tp / total, params.blocks[label]))
+        total = DEFAULT_PARAMS.total(label)
+        out.append(PerfReport(label, latency, tp, total, tp / total, DEFAULT_PARAMS.blocks[label]))
     return out

@@ -3,8 +3,8 @@
 Signed weights are stored as differential conductance pairs: the positive
 column carries ``g_min + |w| * (g_max - g_min)`` for w >= 0 (the negative
 column stays at g_min) and symmetrically for w < 0.  Multi-level cells
-quantize the weight onto ``levels`` uniform conductance steps per sign;
-``levels=None`` models an ideal continuously-programmable device.
+quantize the weight onto ``levels`` (an integer >= 2) uniform conductance
+steps per sign.
 
 Programming works on the signed weight throughout: the level is
 ``rint(w * (levels - 1))``, scaled to a signed conductance step ``a``, and
@@ -43,28 +43,26 @@ class DeviceModel:
 
     g_min: float = 0.5e-6
     g_max: float = 20e-6
-    levels: int | None = 16
+    levels: int = 16
     sigma_rel: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.g_min < self.g_max < np.inf:
             raise ContractError("need 0 <= g_min < g_max < inf")
-        if self.levels is not None and not (isinstance(self.levels, (int, np.integer))
-                                            and self.levels >= 2):
-            raise ContractError(f"levels must be an integer >= 2 or None, got {self.levels!r}")
+        if not (isinstance(self.levels, (int, np.integer)) and self.levels >= 2):
+            raise ContractError(f"levels must be an integer >= 2, got {self.levels!r}")
         if not 0 <= self.sigma_rel < np.inf:
             raise ContractError("sigma_rel must be finite and non-negative")
 
     @property
     def g_lsb(self) -> float:
-        """Conductance step per weight level (full swing if continuous)."""
-        span = self.g_max - self.g_min
-        return span / (self.levels - 1) if self.levels else span
+        """Conductance step per weight level."""
+        return (self.g_max - self.g_min) / (self.levels - 1)
 
     @property
     def level_scale(self) -> float:
         """Weight-level units per unit normalized weight."""
-        return float(self.levels - 1) if self.levels else 1.0
+        return float(self.levels - 1)
 
 
 @dataclass(frozen=True)
@@ -93,16 +91,12 @@ class ConductancePair:
 def weight_levels(weights: np.ndarray, model: DeviceModel) -> np.ndarray:
     """Signed level numbers the device programming rounds the weights to.
 
-    ``np.rint(w * (levels - 1))``: integers in [-(levels-1), levels-1] for
-    an MLC device, in one fresh array; a copy of the normalized weights for
-    a continuous one.  Round-half-even is odd, so this equals
+    ``np.rint(w * (levels - 1))``: integers in [-(levels-1), levels-1], in
+    one fresh array.  Round-half-even is odd, so this equals
     ``np.sign(w) * np.rint(np.abs(w) * (levels - 1))`` in value, and bit
     for bit except at w = -0.0, where it gives -0.0 (the |w| form +0.0).
     """
-    w = np.asarray(weights, dtype=float)
-    if model.levels is None:
-        return w.copy()
-    a = w * (model.levels - 1)
+    a = np.asarray(weights, dtype=float) * (model.levels - 1)
     return np.rint(a, out=a)
 
 
@@ -111,7 +105,8 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
 
     Weights are rounded to the device's conductance levels; programming
     variation is a multiplicative Gaussian ``(1 + sigma_rel * N(0,1))``
-    drawn from the given seed, clamped back into [g_min, g_max].
+    drawn from the given seed, clamped back into [g_min, g_max].  The seed
+    must be a non-negative integer at every ``sigma_rel``.
 
     Both matrices are planes of one ``(2, rows, cols)`` buffer: plane 0 is
     ``g_pos``, plane 1 ``g_neg``.  The signed conductance step ``a`` is the
@@ -122,6 +117,8 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
     as a draw for ``g_pos`` followed by one for ``g_neg``; the noisy path
     adds one plane-sized scratch array and nothing else.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     if w.size and not (-1.0 <= w.min() and w.max() <= 1.0):  # NaN fails both
         if not np.all(np.isfinite(w)):

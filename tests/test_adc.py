@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpcim.adc import (
+    INT8_LSB,
     LATENCY_NS,
     V_MID,
     V_RESET,
@@ -89,7 +90,7 @@ def test_single_slope_range_contract():
 
 def test_analytic_transient_scenario():
     r = convert_analytic(5.38e-6, CFG)
-    assert r.code.bit_string() == "1001001"
+    assert r.code.to_bits() == 0b1001001
     assert (r.code.exponent, r.code.mantissa) == (2, 9)
     assert r.v_m == pytest.approx(1.27775, abs=1e-12)
     # within 1% of the circuit-level 1.271 V measurement
@@ -108,7 +109,7 @@ def test_analytic_saturation():
     assert i_sat == pytest.approx(16.84e-6, rel=1e-3)
     r = convert_analytic(i_sat, CFG)
     assert r.saturated
-    assert r.code.bit_string() == "1111111"
+    assert r.code.to_bits() == 0b1111111
 
 
 def test_analytic_underflow_boundary():
@@ -179,7 +180,7 @@ def test_transient_scenario_full_story():
     r = simulate_transient(5.38e-6, CFG)
     shares = share_events(r)
     assert len(shares) == 2
-    assert r.code.bit_string() == "1001001"
+    assert r.code.to_bits() == 0b1001001
     assert r.v_m == pytest.approx(1.27775, abs=1e-12)
     # share moments: t_k = V_TH * C_active / i
     assert shares[0].time == pytest.approx(2.0 * 100e-15 / 5.38e-6, rel=1e-12)
@@ -200,7 +201,7 @@ def test_transient_underflow():
 def test_transient_saturation_halts_at_full_bank():
     r = simulate_transient(19e-6, CFG)
     assert r.saturated
-    assert r.code.bit_string() == "1111111"
+    assert r.code.to_bits() == 0b1111111
     assert r.v_m == V_TH
 
 
@@ -335,8 +336,8 @@ def test_int8_conversion_time_ratio():
 
 
 def test_int8_zero_current():
-    code, underflow, saturated = int8_baseline_convert(0.0, CFG)
-    assert code == 0 and underflow and not saturated
+    code, underflow, saturated, x = int8_baseline_convert(0.0, CFG)
+    assert code == 0 and x == 0.0 and underflow and not saturated
 
 
 def _scalar_converter(convert):
@@ -369,8 +370,10 @@ def test_non_finite_currents(convert, top):
 def test_int8_monotone_over_sweep():
     rng = np.random.default_rng(11)
     currents = np.sort(rng.uniform(0, 20e-6, 10_000))
-    codes = int8_baseline_convert(currents, CFG)[0].astype(int)
-    assert np.all(np.diff(codes) >= 0)
+    codes, _, _, x = int8_baseline_convert(currents, CFG)
+    assert np.all(np.diff(codes.astype(int)) >= 0)
+    # the x value of a code is the code times the LSB, as the macro subtracts it
+    np.testing.assert_array_equal(x, codes * INT8_LSB)
 
 
 # ---------------------------------------------------------------- trace

@@ -16,7 +16,7 @@ from fpcim.adc import (
     x_sat,
 )
 from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
-from fpcim.dac import V_UNIT, dac_convert, dac_convert_bits
+from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, E3M4, FpCode, decode, decode_bits
 from fpcim.xbar import DeviceModel, program_weights, weight_levels
@@ -61,11 +61,11 @@ def test_single_active_row_matches_explicit_chain():
     cfg = small_config(g_min=0.0)
     w = np.array([[0.0], [1.0], [0.0], [0.0]])
     weights = program_weights(w, cfg.device)
-    code = FpCode.from_bit_string("1011110")  # 7.75
+    code = FpCode.from_bits(0b1011110)  # 7.75
     bits = np.zeros(4, dtype=np.uint8)
     bits[1] = code.to_bits()
 
-    volts = dac_convert(code)
+    volts = V_UNIT[cfg.fmt] * decode(code)
     current = (np.array([0.0, volts, 0.0, 0.0]).T @ weights.g_pos)[0]
     oracle = convert_analytic(float(current), cfg.adc, cfg.fmt)
     expected_dot = decode(oracle.code) * V_MID / scale_chain(cfg)
@@ -207,8 +207,8 @@ def test_int8_readout_matches_baseline_converter():
     res = macro_mac(bits, weights, cfg, readout="int8")
 
     volts = dac_convert_bits(bits, cfg.fmt)
-    pos, under_p, sat_p = int8_baseline_convert(volts.T @ weights.g_pos, cfg.adc)
-    neg, under_n, sat_n = int8_baseline_convert(volts.T @ weights.g_neg, cfg.adc)
+    pos, under_p, sat_p, _ = int8_baseline_convert(volts.T @ weights.g_pos, cfg.adc)
+    neg, under_n, sat_n, _ = int8_baseline_convert(volts.T @ weights.g_neg, cfg.adc)
     np.testing.assert_array_equal(res.pos_bits, pos)
     np.testing.assert_array_equal(res.neg_bits, neg)
     np.testing.assert_array_equal(res.underflow, under_p & under_n)
@@ -256,7 +256,7 @@ def unblocked_macro_mac(bits, weights, cfg, signs, readout):
             codes, under, sat, _ = convert_analytic_array(currents, cfg.adc, cfg.fmt)
             out.append((codes, decode_bits(codes, cfg.fmt), under, sat))
         else:
-            codes, under, sat = int8_baseline_convert(currents, cfg.adc)
+            codes, under, sat, _ = int8_baseline_convert(currents, cfg.adc)
             out.append((codes, codes * INT8_LSB, under, sat))
     (pb, xp, up, sp), (nb, xn, un, sn) = out
     digital = (xp - xn) * (V_MID / scale_chain(cfg))

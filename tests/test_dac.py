@@ -2,46 +2,41 @@ import numpy as np
 import pytest
 
 from fpcim.cimmacro import MacroConfig, _column_currents
-from fpcim.dac import V_SUPPLY, V_UNIT, dac_convert, dac_convert_bits, ladder_levels
+from fpcim.dac import V_SUPPLY, V_UNIT, dac_convert_bits
 from fpcim.fpcodec import E2M5, E3M4, FpCode, decode
 from fpcim.xbar import ConductancePair
 
 
-def test_ladder_endpoints():
-    levels = ladder_levels(E2M5)
-    assert len(levels) == 32
-    assert levels[0] == pytest.approx(0.1, rel=1e-15)
-    assert levels[31] == pytest.approx(0.196875, rel=1e-15)
-
-
-def test_ladder_uniform_increasing():
-    levels = ladder_levels(E2M5)
-    steps = np.diff(levels)
-    assert np.all(steps > 0)
-    np.testing.assert_allclose(steps, V_UNIT[E2M5] / 32, rtol=1e-12)
+def dac_volts(code: FpCode) -> float:
+    """One code through the vectorized DAC."""
+    return float(dac_convert_bits(np.array([code.to_bits()]), code.format)[0])
 
 
 def test_convert_known_code():
-    assert dac_convert(FpCode.from_bit_string("1011110")) == pytest.approx(0.775, rel=1e-15)
+    assert dac_volts(FpCode.from_bits(0b1011110)) == pytest.approx(0.775, rel=1e-15)
+    assert dac_volts(FpCode.from_bits(0b1011110, E3M4)) == pytest.approx(0.6, rel=1e-15)
 
 
 def test_convert_zero_code():
-    assert dac_convert(FpCode(0, 0)) == 0.0
+    for fmt in (E2M5, E3M4):
+        assert dac_volts(FpCode(0, 0, fmt)) == 0.0
 
 
 def test_convert_top_code():
-    assert dac_convert(FpCode.from_bit_string("1111111")) == pytest.approx(1.575, rel=1e-15)
+    assert dac_volts(FpCode.from_bits(0b1111111)) == pytest.approx(1.575, rel=1e-15)
+    assert dac_volts(FpCode.from_bits(0b1111111, E3M4)) == pytest.approx(2.48, rel=1e-15)
 
 
 def test_convert_equals_vunit_times_decode():
-    for bits in range(128):
-        code = FpCode.from_bits(bits, E2M5)
-        assert dac_convert(code) == V_UNIT[E2M5] * decode(code)
+    for fmt in (E2M5, E3M4):
+        for bits in range(128):
+            code = FpCode.from_bits(bits, fmt)
+            assert dac_volts(code) == V_UNIT[fmt] * decode(code)
 
 
 def test_exponent_doubles_output():
     for m in range(32):
-        v = [dac_convert(FpCode(e, m)) for e in range(4)]
+        v = [dac_volts(FpCode(e, m)) for e in range(4)]
         start = 1 if m == 0 else 0  # (0, 0) is the zero code
         for e in range(start, 3):
             assert v[e + 1] == pytest.approx(2 * v[e], rel=1e-12)
@@ -55,11 +50,12 @@ def test_top_code_below_supply(fmt):
 
 
 def test_vectorized_matches_scalar():
+    # a whole sweep converts each code as it converts alone
     bits = np.arange(128)
     for fmt in (E2M5, E3M4):
         v = dac_convert_bits(bits, fmt)
         for b in bits:
-            assert v[b] == dac_convert(FpCode.from_bits(int(b), fmt))
+            assert v[b] == dac_volts(FpCode.from_bits(int(b), fmt))
 
 
 # ---------------------------------------------------------------- sweep

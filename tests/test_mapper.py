@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcim.cimmacro import MacroConfig
+from fpcim.cimmacro import MacroConfig, macro_mac
 from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, decode_bits
 from fpcim.mapper import (
@@ -277,6 +277,24 @@ def test_execute_plan_batched():
         np.testing.assert_array_equal(res.values[k], one.values)
 
 
+@pytest.mark.parametrize("readout", ["adc", "int8", "identity"])
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_execute_plan_empty_batch(readout, signed):
+    # a (rows, 0) batch gives (0, cols) results, as macro_mac does per tile
+    cfg = MacroConfig(device=ideal_device())
+    rows, cols = MAX_ROWS + 4, 300  # row and column split
+    plan = map_matrix(rows, cols)
+    bank = MacroBank.build(plan, np.ones((rows, cols)), cfg)
+    bits = np.zeros((rows, 0), dtype=np.uint8)
+    signs = np.zeros((rows, 0), dtype=bool) if signed else None
+    res = execute_plan(plan, bits, bank, signs=signs, readout=readout)
+    for a, dtype in zip(res, (float, bool, bool)):
+        assert a.shape == (0, cols) and a.dtype == dtype
+    one = macro_mac(bits[:MAX_ROWS], bank[0].pair, cfg, signs=None if signs is None
+                    else signs[:MAX_ROWS], readout=readout)
+    assert one.digital_values.shape == (0, 256)
+
+
 def test_missing_macro_raises():
     cfg = MacroConfig(device=ideal_device())
     plan = map_matrix(4, 2)
@@ -351,6 +369,37 @@ def test_build_rejects_bad_weight_scale(scale):
         MacroBank.build(plan, np.ones((4, 2)), cfg, weight_scale=scale)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, np.float64(2.0)], ids=repr)
+def test_build_seed_must_be_a_non_negative_integer(seed, sigma):
+    cfg = MacroConfig(device=DeviceModel(sigma_rel=sigma))
+    plan = map_matrix(MAX_ROWS + 4, 2)
+    w = np.ones((MAX_ROWS + 4, 2))
+    with pytest.raises(ContractError, match="seed"):
+        MacroBank.build(plan, w, cfg, seed=seed)
+    a = MacroBank.build(plan, w, cfg, seed=np.int64(3))
+    b = MacroBank.build(plan, w, cfg, seed=3)
+    for t in plan.tiles:
+        np.testing.assert_array_equal(a[t.id].pair.g_pos, b[t.id].pair.g_pos)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LayerSpec.fc(10.5, 3),
+    lambda: LayerSpec.fc(10, 3.0),
+    lambda: LayerSpec.conv(4, 2.5, 8),
+    lambda: LayerSpec.conv(4, 3, 8, stride=1.5),
+    lambda: LayerSpec.conv(4, 3, 8, padding=0.5),
+    lambda: LayerSpec.conv(np.float64(4), 3, 8),
+    lambda: map_matrix(2.5, 3),
+    lambda: map_matrix(2, np.float64(3)),
+    lambda: map_matrix("2", 3),
+], ids=["fc_in", "fc_out", "kernel", "stride", "padding", "numpy_float", "matrix_rows",
+        "matrix_cols", "matrix_str"])
+def test_layer_dimensions_must_be_integers(make):
+    with pytest.raises(ContractError, match="integer"):
+        make()
+
+
 def test_layer_spec_validation():
     with pytest.raises(ContractError):
         LayerSpec.conv(0, 3, 4)
@@ -360,6 +409,9 @@ def test_layer_spec_validation():
         LayerSpec("pool")
     with pytest.raises(ContractError):
         map_conv(LayerSpec.fc(4, 4))
+    spec = LayerSpec.conv(np.int64(4), np.int32(3), np.int64(8), stride=np.int64(1))
+    assert spec.matrix_shape == (36, 8)
+    assert map_matrix(np.int64(600), np.int16(3)).tiles[1].row_start == MAX_ROWS
 
 
 def test_execute_plan_accepts_array_like_signs():
@@ -375,8 +427,6 @@ def test_execute_plan_accepts_array_like_signs():
 
 
 def test_signs_shape_must_match_codes():
-    from fpcim.cimmacro import macro_mac
-
     cfg = MacroConfig(device=ideal_device())
     plan = map_matrix(4, 2)
     bank = MacroBank.build(plan, np.ones((4, 2)), cfg)

@@ -54,10 +54,15 @@ def test_weight_levels_integers():
     np.testing.assert_array_equal(lv, [[8, -15, 0]])
 
 
-def test_weight_levels_continuous_device():
-    model = DeviceModel(levels=None)
-    w = np.array([[0.3, -0.7]])
-    np.testing.assert_array_equal(weight_levels(w, model), w)
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "3", np.float64(2.0)], ids=repr)
+def test_program_seed_must_be_a_non_negative_integer(seed, sigma):
+    # at every sigma_rel, not only where a draw would reject the seed itself
+    model = DeviceModel(sigma_rel=sigma)
+    with pytest.raises(ContractError, match="seed"):
+        program_weights(np.zeros((2, 2)), model, seed=seed)
+    for ok in (0, 7, np.int64(7)):
+        program_weights(np.zeros((2, 2)), model, seed=ok)
 
 
 def test_programming_noise_seeded_and_clamped():
@@ -156,7 +161,7 @@ def test_device_model_validation():
         DeviceModel(g_min=5e-6, g_max=1e-6)
     with pytest.raises(ContractError):
         DeviceModel(levels=1)
-    for levels in (2.5, 16.0, "16", True):  # a level count is an integer
+    for levels in (None, 2.5, 16.0, "16", True):  # a level count is an integer
         with pytest.raises(ContractError, match="levels"):
             DeviceModel(levels=levels)
     assert DeviceModel(levels=np.int64(16)).level_scale == 15.0
@@ -186,10 +191,7 @@ def test_non_finite_weights_rejected():
 def two_draw_program(w, model, seed):
     """The two-draw programming formula: separate where/draw/clip per matrix."""
     span = model.g_max - model.g_min
-    if model.levels is None:
-        q = np.abs(w)
-    else:
-        q = np.rint(np.abs(w) * (model.levels - 1)) / (model.levels - 1)
+    q = np.rint(np.abs(w) * (model.levels - 1)) / (model.levels - 1)
     g_on = model.g_min + q * span
     g_pos = np.where(w >= 0, g_on, model.g_min)
     g_neg = np.where(w < 0, g_on, model.g_min)
@@ -202,7 +204,7 @@ def two_draw_program(w, model, seed):
     return g_pos, g_neg
 
 
-@pytest.mark.parametrize("levels", [16, None], ids=["mlc", "continuous"])
+@pytest.mark.parametrize("levels", [16], ids=["mlc"])
 @pytest.mark.parametrize("g_min", [0.5e-6, 0.0])
 @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
 def test_one_buffer_program_equals_two_draw_formula(levels, g_min, sigma):
@@ -238,16 +240,14 @@ def int_bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("levels", [2, 3, 5, 16, None])
+@pytest.mark.parametrize("levels", [2, 3, 5, 16])
 @pytest.mark.parametrize("g_min", [0.5e-6, 0.0])
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_program_bits_equal_two_draw_formula_at_ties_and_extremes(levels, g_min, sigma):
     model = DeviceModel(g_min=g_min, g_max=20e-6, levels=levels, sigma_rel=sigma)
-    w = np.array(EXTREMES)
-    if levels is not None:
-        ties = exact_half_level_ties(levels)
-        assert (ties > 0).any() and (ties < 0).any()
-        w = np.concatenate([w, ties])
+    ties = exact_half_level_ties(levels)
+    assert (ties > 0).any() and (ties < 0).any()
+    w = np.concatenate([EXTREMES, ties])
     for tile in (w[:, None], np.tile(w, (3, 1))):
         pair = program_weights(tile, model, seed=5)
         want_pos, want_neg = two_draw_program(tile, model, seed=5)
@@ -272,10 +272,9 @@ def test_weight_levels_is_the_signed_magnitude_formula(levels):
 
 def test_weight_levels_returns_a_fresh_array():
     w = np.array([[0.25, -0.5]])
-    for model in (NOISELESS, DeviceModel(levels=None)):
-        lv = weight_levels(w, model)
-        assert not np.shares_memory(lv, w)
-        lv *= 2.0
+    lv = weight_levels(w, NOISELESS)
+    assert not np.shares_memory(lv, w)
+    lv *= 2.0
     np.testing.assert_array_equal(w, [[0.25, -0.5]])
 
 
