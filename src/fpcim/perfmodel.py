@@ -63,8 +63,8 @@ class BlockPowers:
 
 def throughput_from(rows: int, cols: int, latency: float) -> float:
     """Ops per second: 2 * rows * cols per macro cycle."""
-    if latency <= 0:
-        raise ContractError("latency must be positive")
+    if not 0 < latency < math.inf:  # NaN fails too
+        raise ContractError(f"latency must be finite and positive, got {latency!r}")
     return OPS_PER_MAC * rows * cols / latency
 
 
@@ -102,6 +102,8 @@ class EnergyParams:
                 raise ContractError(f"block powers for {label} must be BlockPowers")
 
     def total(self, label: str) -> float:
+        if label not in self.blocks:
+            raise ContractError(f"no block powers for format {label!r}")
         return self.blocks[label].total
 
 

@@ -73,3 +73,14 @@ def test_block_power_must_be_finite_and_non_negative(block, bad):
     assert BlockPowers(**powers).total == 0.0
     with pytest.raises(ContractError, match=f"{block} power"):
         BlockPowers(**{**powers, block: bad})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_throughput_needs_finite_positive_latency(bad):
+    with pytest.raises(ContractError, match="latency"):
+        throughput_from(576, 256, bad)
+
+
+def test_total_power_of_unknown_format_names_it():
+    with pytest.raises(ContractError, match="E9M9"):
+        DEFAULT_PARAMS.total("E9M9")

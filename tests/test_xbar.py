@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from fpcim.cimmacro import MacroConfig, _column_currents, macro_mac
 from fpcim.dac import dac_convert_bits
 from fpcim.errors import ContractError
+from fpcim.fpcodec import _BLOCK
 from fpcim.xbar import (
     ConductancePair,
     DeviceModel,
@@ -210,15 +212,32 @@ def two_draw_program(w, model, seed):
 def test_one_buffer_program_equals_two_draw_formula(levels, g_min, sigma):
     model = DeviceModel(g_min=g_min, g_max=20e-6, levels=levels, sigma_rel=sigma)
     rng = np.random.default_rng(17)
-    for shape in [(1, 1), (2, 3), (37, 5), (576, 256)]:
+    # (300, 200) is programmed in 81-row blocks with a ragged 57-row tail
+    for shape in [(1, 1), (2, 3), (37, 5), (300, 200), (576, 256)]:
         w = rng.uniform(-1, 1, shape)
         w.flat[:4] = [0.0, -0.0, 1.0, -1.0][: w.size]
         pair = program_weights(w, model, seed=9)
         want_pos, want_neg = two_draw_program(w, model, seed=9)
-        np.testing.assert_array_equal(pair.g_pos, want_pos)
-        np.testing.assert_array_equal(pair.g_neg, want_neg)
+        np.testing.assert_array_equal(int_bits(pair.g_pos), int_bits(want_pos))
+        np.testing.assert_array_equal(int_bits(pair.g_neg), int_bits(want_neg))
         for g in (pair.g_pos, pair.g_neg):
             assert g.flags.c_contiguous and not g.flags.writeable
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_program_peak_memory(sigma):
+    # the noisy path works through one block-sized scratch array; the
+    # noiseless one through one tile-sized level array
+    w = np.random.default_rng(3).uniform(-1, 1, (576, 256))
+    buffer = 2 * w.nbytes
+    tracemalloc.start()
+    try:
+        program_weights(w, DeviceModel(sigma_rel=sigma), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowed = buffer + 4 * _BLOCK * 8 if sigma else 1.5 * buffer + 4 * _BLOCK * 8
+    assert buffer <= peak < allowed
 
 
 def exact_half_level_ties(levels):
