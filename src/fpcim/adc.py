@@ -17,10 +17,13 @@ levels are constants of the circuit, and ``AdcConfig`` holds only
 ``c_int * V_MID``, so ``c_int`` sets every scale the threshold could.
 
 Two conversion paths are provided: ``simulate_transient`` is the
-event-driven simulation with a full trace, ``convert_analytic`` the
-closed-form converter used as its oracle.  The mantissa readout has
-ceiling semantics (the counter stops on the first ramp step at or above
-the sampled voltage, a +1/2 LSB bias), clamped at the top step.
+event-driven simulation of one constant current with a full trace,
+``convert_analytic`` the closed-form converter used as its oracle.  A
+column current is constant over a conversion: the macro applies signed
+inputs by swapping columns within one cycle, not in a second phase.  The
+mantissa readout has ceiling semantics (the counter stops on the first
+ramp step at or above the sampled voltage, a +1/2 LSB bias), clamped at
+the top step.
 ``simulate_transient`` ramps against its simulated voltage
 (``single_slope``); ``convert_analytic`` takes the ceiling of the exact
 residue ``x / 2^e - 1`` in ramp steps.  ``V_TH`` and ``V_MID`` are powers
@@ -221,42 +224,25 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat =
     return u.astype(np.uint8), underflow, saturated, all_values(fmt).take(u)
 
 
-def _current_segments(i_of_t, t_int: float) -> list[tuple[float, float, float]]:
-    """Normalize a constant or piecewise-constant stimulus to (t0, t1, i)."""
-    if np.isscalar(i_of_t):
-        steps = [(0.0, float(i_of_t))]
-    else:
-        steps = [(float(t), float(i)) for t, i in i_of_t]
-        if not steps or steps[0][0] != 0.0:
-            raise ContractError("waveform must start at t = 0")
-        times = [t for t, _ in steps]
-        if not all(math.isfinite(t) for t in times) or sorted(times) != times:
-            raise ContractError("waveform times must be finite and time-ordered")
-    if not all(i >= 0 for _, i in steps):
-        raise ContractError("MAC currents must be non-negative and not NaN")
-    segments = []
-    for idx, (t0, i) in enumerate(steps):
-        t1 = steps[idx + 1][0] if idx + 1 < len(steps) else t_int
-        if t0 < t_int and t1 > t0:
-            segments.append((t0, min(t1, t_int), i))
-    return segments
+def simulate_transient(i_mac, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcResult:
+    """Event-driven transient of one constant-current conversion with a full trace.
 
-
-def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcResult:
-    """Event-driven transient of one conversion with a full trace.
-
-    ``i_of_t`` is either a constant current in amperes or a piecewise-
-    constant waveform ``[(t0, i0), (t1, i1), ...]`` with t0 = 0 and finite,
-    non-decreasing times.  The integrator is advanced analytically within
-    each constant segment; threshold crossings trigger charge-share events
-    computed by exact charge conservation.  The bank has one capacitor per
-    exponent step of ``fmt`` and the ramp one step per mantissa code.
+    ``i_mac`` is one scalar current in amperes, held over ``[0, t_int]``;
+    an array or a list, NaN or a negative current raises, +inf saturates.
+    The integrator is advanced analytically between events; threshold
+    crossings trigger charge-share events computed by exact charge
+    conservation.  The bank has one capacitor per exponent step of ``fmt``
+    and the ramp one step per mantissa code.
 
     This is ``convert_analytic``'s oracle.  The mantissa is
     ``single_slope``'s ceiling of ``v_m`` over a ramp step that is a power
     of two, so an exactly integrated ``v_m`` on a step reads that step.
     """
-    segments = _current_segments(i_of_t, config.t_int)
+    if np.ndim(i_mac) != 0:
+        raise ContractError(f"the transient takes one scalar current, not shape {np.shape(i_mac)}")
+    i = float(i_mac)
+    if not i >= 0:
+        raise ContractError("MAC currents must be non-negative and not NaN")
 
     bank = config.cap_bank(fmt)
     v = V_RESET
@@ -266,30 +252,24 @@ def simulate_transient(i_of_t, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRe
     sw_bits = lambda: tuple(1 if k < shares else 0 for k in range(fmt.exp_max))
 
     trace = [AdcEvent(0.0, "reset", v, sw_bits())]
-    for t0, t1, i in segments:
-        t = t0
-        while t < t1 and not saturated:
-            if i <= 0.0:
-                break
-            t_hit = t + (V_TH - v) * c_active / i
-            if t_hit > t1:
-                v += i * (t1 - t) / c_active
-                break
-            trace.append(AdcEvent(t_hit, "threshold-crossing", V_TH, sw_bits()))
-            if shares >= fmt.exp_max:
-                # Bank exhausted: integration halts at the full bank.
-                saturated = True
-                v = V_TH
-                t = t_hit
-                break
-            c_next = bank[shares + 1]
-            v = charge_share(V_TH, c_active, c_next, V_RESET)
-            c_active += c_next
-            shares += 1
-            trace.append(AdcEvent(t_hit, "charge-share", v, sw_bits()))
-            t = t_hit
-        if saturated:
+    t = 0.0
+    while i > 0.0 and t < config.t_int:
+        t_hit = t + (V_TH - v) * c_active / i
+        if t_hit > config.t_int:
+            v += i * (config.t_int - t) / c_active
             break
+        trace.append(AdcEvent(t_hit, "threshold-crossing", V_TH, sw_bits()))
+        if shares >= fmt.exp_max:
+            # Bank exhausted: integration halts at the full bank.
+            saturated = True
+            v = V_TH
+            break
+        c_next = bank[shares + 1]
+        v = charge_share(V_TH, c_active, c_next, V_RESET)
+        c_active += c_next
+        shares += 1
+        trace.append(AdcEvent(t_hit, "charge-share", v, sw_bits()))
+        t = t_hit
 
     v_m = v
     trace.append(AdcEvent(config.t_int, "sample", v_m, sw_bits()))

@@ -1,7 +1,8 @@
 """One compute-in-memory macro: row DACs, differential crossbar, column ADCs.
 
-A macro MAC drives one row voltage per row of the programmed
-``ConductancePair`` from 7-bit input codes and collects the differential
+A macro MAC takes a (rows, n) batch of 7-bit input codes, one column per
+input vector, drives one row voltage per row of the programmed
+``ConductancePair`` from each vector and collects the differential
 currents of its column pairs: the pair's shape, at most ``xbar.MAX_ROWS``
 x ``xbar.MAX_COLS`` (576x256), is the tile's geometry, and ``MacroConfig``
 holds only what the tiles of a bank share.  Both columns of a pair go
@@ -77,9 +78,9 @@ class MacroConfig:
 class MacroResult:
     """Per-column conversion results of one macro cycle.
 
-    ``digital_values`` has shape (cols,) for a single input vector or
-    (n, cols) for a batch.  Flag arrays match that shape; a column counts
-    as underflowed only when both differential conversions underflowed.
+    ``digital_values`` has shape (n, cols), one row per input vector, and
+    so do the flag arrays; a column counts as underflowed only when both
+    differential conversions underflowed.
     """
 
     pos_bits: np.ndarray | None
@@ -100,35 +101,31 @@ def _levels_from_pair(weights: ConductancePair, device: DeviceModel) -> np.ndarr
 
 
 def batch_inputs(input_bits, signs=None):
-    """(codes, signs or None, single): integer codes and bool signs of the
-    same shape as (rows, n) batches, and whether the input was one vector.
-
-    The codes must be one vector (rows,) or a batch (rows, n).
-    """
+    """(codes, signs or None): a (rows, n) integer code batch and, if given,
+    bool signs of the same shape."""
     bits = np.asarray(input_bits)
     if not np.issubdtype(bits.dtype, np.integer):
         raise ContractError(f"input codes must have an integer dtype, not {bits.dtype}")
-    if bits.ndim not in (1, 2):
-        raise ContractError(f"input codes must be (rows,) or (rows, n), not {bits.shape}")
+    if bits.ndim != 2:
+        raise ContractError(f"input codes must be a (rows, n) batch, not {bits.shape}")
     if signs is not None:
         signs = np.asarray(signs, dtype=bool)
         if signs.shape != bits.shape:
             raise ContractError(f"signs {signs.shape} do not match input codes {bits.shape}")
-        signs = signs.reshape(bits.shape[0], -1)
-    return bits.reshape(bits.shape[0], -1), signs, bits.ndim == 1
+    return bits, signs
 
 
 def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroConfig,
               signs: np.ndarray | None = None, readout: str = "adc") -> MacroResult:
     """One macro MAC: codes in, per-column converted differential results out.
 
-    ``input_bits`` is (rows,) or (rows, n) of integer 7-bit patterns, one
-    row per row of ``weights``, and ``signs``, if given, a boolean array of
-    the same shape.  Rows with a set sign bit contribute through the
-    complementary column of each differential pair (two-phase input
-    scheme).  ``readout`` selects the column converter: the adaptive FP
-    ADC, the fixed-range INT8 baseline, or an identity bypass that returns
-    the digital dot product directly.
+    ``input_bits`` is a (rows, n) batch of integer 7-bit patterns, one row
+    per row of ``weights`` and one column per input vector, and ``signs``,
+    if given, a boolean array of the same shape.  Rows with a set sign bit
+    contribute through the complementary column of each differential pair
+    (two-phase input scheme).  ``readout`` selects the column converter:
+    the adaptive FP ADC, the fixed-range INT8 baseline, or an identity
+    bypass that returns the digital dot product directly.
 
     The DAC and the 2 (unsigned) or 4 (signed) matmuls cover the whole
     batch; the per-column-result chain after them runs over slices of
@@ -137,7 +134,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     """
     if readout not in READOUTS:
         raise ContractError(f"unknown readout {readout!r}")
-    bits, signs, single = batch_inputs(input_bits, signs)
+    bits, signs = batch_inputs(input_bits, signs)
     if bits.shape[0] != weights.shape[0]:
         raise ContractError(f"{bits.shape[0]} input rows for a {weights.shape[0]}-row macro")
 
@@ -147,8 +144,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
             dec = np.where(signs, -dec, dec)
         digital = ideal_reference(dec, _levels_from_pair(weights, config.device))
         zeros = np.zeros(digital.shape, dtype=bool)
-        out = MacroResult(None, None, digital, zeros, zeros)
-        return _squeeze_result(out, single)
+        return MacroResult(None, None, digital, zeros, zeros)
 
     i_pos, i_neg = _column_currents(bits, signs, weights, config)
     n, cols = i_pos.shape
@@ -164,7 +160,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
         digital *= gain
         np.logical_and(under_p, under_n, out=out.underflow[vecs])
         np.logical_or(sat_p, sat_n, out=out.saturated[vecs])
-    return _squeeze_result(out, single)
+    return out
 
 
 def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig):
@@ -190,16 +186,6 @@ def _convert(readout: str, currents: np.ndarray, config: MacroConfig):
     if readout == "adc":
         return convert_analytic_array(currents, config.adc, config.fmt)
     return int8_baseline_convert(currents, config.adc)
-
-
-def _squeeze_result(r: MacroResult, single: bool) -> MacroResult:
-    if not single:
-        return r
-    sq = lambda a: None if a is None else a.reshape(a.shape[-1])
-    return MacroResult(
-        sq(r.pos_bits), sq(r.neg_bits),
-        r.digital_values.reshape(-1), r.underflow.reshape(-1), r.saturated.reshape(-1),
-    )
 
 
 def ideal_reference(decoded_inputs: np.ndarray, weight_levels: np.ndarray) -> np.ndarray:

@@ -163,14 +163,12 @@ def conv_output_shape(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
 def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     """Unfold conv input patches into columns.
 
-    ``x`` is (c, h, w) or a batch (n, c, h, w); the result has shape
+    ``x`` is an image batch (n, c, h, w); the result has shape
     (c*k*k, n*out_h*out_w) with rows ordered (channel, ki, kj) so that
     ``weights_matrix.T @ im2col(x)`` equals the direct convolution.  The
     columns are one strided copy of the padded input's k x k windows.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 3:
-        x = x[None]
     if x.ndim != 4 or x.shape[1] != layer.in_channels:
         raise ContractError(f"expected (n, {layer.in_channels}, h, w) input, got {x.shape}")
     n, c, h, w = x.shape
@@ -250,11 +248,12 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
                  signs: np.ndarray | None = None, readout: str = "adc") -> PlanResult:
     """Run every tile and reduce partial sums digitally.
 
-    ``input_bits`` covers all matrix rows, (rows,) or (rows, n), and
-    ``signs``, if given, is an array-like of the same shape.  Raw per-tile
-    dot products of one column block are summed in double precision and
-    scaled back by the block's weight scale once.  ``bank`` must have been
-    built for ``plan``: the same object or an equal plan.
+    ``input_bits`` is a (rows, n) code batch covering all matrix rows, and
+    ``signs``, if given, is an array-like of the same shape; the results
+    are (n, cols).  Raw per-tile dot products of one column block are
+    summed in double precision and scaled back by the block's weight scale
+    once.  ``bank`` must have been built for ``plan``: the same object or
+    an equal plan.
 
     Every block sums from its first tile's result, so a block of one tile
     is written straight into the outputs.  That is bit for bit the sum
@@ -265,7 +264,7 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
     """
     if bank.plan != plan:
         raise ContractError("bank was programmed for another plan")
-    bits, signs, single = batch_inputs(input_bits, signs)
+    bits, signs = batch_inputs(input_bits, signs)
     if bits.shape[0] != plan.rows:
         raise ContractError(f"plan expects {plan.rows} input rows, got {bits.shape[0]}")
 
@@ -288,6 +287,4 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
             under[:, lo:hi] &= res.underflow
             sat[:, lo:hi] |= res.saturated
         np.multiply(raw, scale, out=out[:, lo:hi])
-    if single:
-        return PlanResult(out.reshape(-1), under.reshape(-1), sat.reshape(-1))
     return PlanResult(out, under, sat)

@@ -106,7 +106,7 @@ def weight_levels(weights: np.ndarray, model: DeviceModel, out: np.ndarray | Non
 
 
 def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> ConductancePair:
-    """Program normalized weights (|w| <= 1) into a differential pair.
+    """Program a (rows, cols) block of weights, |w| <= 1, into a differential pair.
 
     Weights are rounded to the device's conductance levels; programming
     variation is a multiplicative Gaussian ``(1 + sigma_rel * N(0,1))``
@@ -132,8 +132,10 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    if w.size and not (-1.0 <= w.min() and w.max() <= 1.0):  # NaN fails both
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or not w.size:
+        raise ContractError(f"weights must be a non-empty (rows, cols) block, not {w.shape}")
+    if not (-1.0 <= w.min() and w.max() <= 1.0):  # NaN fails both
         if not np.all(np.isfinite(w)):
             raise ContractError("weights must be finite")
         raise ContractError("weight magnitudes must be pre-scaled to [0, 1]")

@@ -245,34 +245,19 @@ def test_transient_charge_conservation_and_continuity():
             assert i_before == pytest.approx(i_after, rel=1e-12)
 
 
-def test_transient_piecewise_constant_waveform():
-    # 2 uA for 40 ns then 8 uA: independent hand integration
-    wave = [(0.0, 2e-6), (40e-9, 8e-6)]
-    r = simulate_transient(wave, CFG)
-    # phase 1: v = 2u * 40n / 100f = 0.8 V, no crossing
-    # phase 2 on C1: hits 2 V after (2-0.8)*100f/8u = 15 ns -> share at 55 ns
-    # then C=2C: hits 2 V after (2-1)*200f/8u = 25 ns -> share at 80 ns
-    # then C=4C: v = 1 + 8u*15n/400f = 1.3 V at 95 ns
-    shares = share_events(r)
-    assert len(shares) == 2
-    assert shares[0].time == pytest.approx(55e-9, rel=1e-12)
-    assert shares[1].time == pytest.approx(80e-9, rel=1e-12)
-    assert r.v_m == pytest.approx(1.3, rel=1e-12)
-    assert r.code.exponent == 2
-    assert r.code.mantissa == math.ceil(0.3 * 32)
-
-
-def test_transient_waveform_validation():
-    for waveform in (
-        [(10e-9, 1e-6)],  # must start at t = 0
-        [(-50e-9, 5e-6)],  # ... exactly, not before
-        [(math.nan, 5e-6)],
-        [(0.0, 1e-6), (math.nan, 5e-6)],
-        [(0.0, 1e-6), (math.inf, 5e-6)],
-        [(0.0, 1e-6), (5e-9, -2e-6)],
-    ):
-        with pytest.raises(ContractError):
-            simulate_transient(waveform, CFG)
+def test_transient_takes_one_scalar_current():
+    # any array, a size-1 one included, is no current: it fails at the boundary
+    for bad in (np.array([5e-6]), [5e-6], np.full((2, 2), 5e-6), [(0.0, 2e-6), (40e-9, 8e-6)]):
+        with pytest.raises(ContractError, match="one scalar current"):
+            simulate_transient(bad, CFG)
+    for i in (-1e-6, -math.inf):
+        with pytest.raises(ContractError, match="non-negative"):
+            simulate_transient(i, CFG)
+    # a 0-D array or a numpy scalar is one current
+    want = simulate_transient(5e-6, CFG)
+    for i in (np.array(5e-6), np.float64(5e-6)):
+        got = simulate_transient(i, CFG)
+        assert (got.code, got.v_m, got.trace) == (want.code, want.v_m, want.trace)
 
 
 def test_transient_zero_current():

@@ -1,7 +1,8 @@
 """The benchmark in ``bench/`` drives the simulator through its public API.
 
 These tests run each workload's reference pass on one pool item and one
-traced batch, so that a rename the benchmark depends on fails here first.
+traced batch, so that a rename the benchmark depends on fails here first,
+and check the traced macro, ADC and programming counts against the plans.
 The benchmark's modules are imported as they are, without changes.
 """
 
@@ -27,7 +28,19 @@ def test_workload_runs_traced_and_passes_reference(name):
         with tracer.root("setup"):
             m = harness.set_up(wl)
         with tracer.root("batch"):
-            harness.run_batch(m, wl.items[0], wl.readout)
+            batch = harness.run_batch(m, wl.items[0], wl.readout)
     assert tracer.missing == set()
     assert tracer.uncounted == set()
     assert harness.reference_pass(m).passed == [True]
+
+    # the wrappers saw every call: a converter bound at import time would
+    # leave its counts at 0 and still be neither missing nor uncounted
+    def count(scope, span, field):
+        return tracer.counts.get((scope, span), {}).get(field, 0)
+
+    assert count("batch", "cimmacro.macro_mac", "calls") == sum(len(p.tiles) for p in m.plans)
+    conversions = sum(2 * q.codes.shape[1] * t.cols
+                      for p, q in zip(m.plans, batch.quantized) for t in p.tiles)
+    assert count("batch", "adc.convert_analytic_array", "conversions") == (
+        conversions if wl.readout == "adc" else 0)
+    assert count("setup", "xbar.program_weights", "cells") == sum(p.rows * p.cols for p in m.plans)

@@ -51,9 +51,9 @@ def test_scale_chain_inverse_in_c_int():
 def test_all_zero_inputs_underflow_everywhere():
     cfg = small_config()
     weights = program_weights(np.full((8, 4), 0.5), cfg.device)
-    res = macro_mac(np.zeros(8, dtype=np.uint8), weights, cfg)
+    res = macro_mac(np.zeros((8, 1), dtype=np.uint8), weights, cfg)
     assert np.all(res.underflow)
-    np.testing.assert_array_equal(res.digital_values, np.zeros(4))
+    np.testing.assert_array_equal(res.digital_values, np.zeros((1, 4)))
 
 
 def test_single_active_row_matches_explicit_chain():
@@ -62,8 +62,8 @@ def test_single_active_row_matches_explicit_chain():
     w = np.array([[0.0], [1.0], [0.0], [0.0]])
     weights = program_weights(w, cfg.device)
     code = FpCode.from_bits(0b1011110)  # 7.75
-    bits = np.zeros(4, dtype=np.uint8)
-    bits[1] = code.to_bits()
+    bits = np.zeros((4, 1), dtype=np.uint8)
+    bits[1, 0] = code.to_bits()
 
     volts = V_UNIT[cfg.fmt] * decode(code)
     current = (np.array([0.0, volts, 0.0, 0.0]).T @ weights.g_pos)[0]
@@ -71,11 +71,11 @@ def test_single_active_row_matches_explicit_chain():
     expected_dot = decode(oracle.code) * V_MID / scale_chain(cfg)
 
     res = macro_mac(bits, weights, cfg)
-    assert res.pos_bits[0] == oracle.code.to_bits()
-    assert res.digital_values[0] == pytest.approx(expected_dot, rel=1e-12)
+    assert res.pos_bits[0, 0] == oracle.code.to_bits()
+    assert res.digital_values[0, 0] == pytest.approx(expected_dot, rel=1e-12)
     # the re-quantized value is within one mantissa step of the raw product
     raw_dot = 7.75 * 15  # decode * level
-    assert abs(res.digital_values[0] - raw_dot) / raw_dot < 2.0**-5
+    assert abs(res.digital_values[0, 0] - raw_dot) / raw_dot < 2.0**-5
 
 
 def test_random_macro_against_analytic_oracle():
@@ -91,7 +91,7 @@ def test_random_macro_against_analytic_oracle():
         weights = program_weights(w, cfg.device, seed=trial)
         bits = rng.integers(0, 128, rows).astype(np.uint8)
 
-        res = macro_mac(bits, weights, cfg)
+        res = macro_mac(bits[:, None], weights, cfg)
 
         volts = decode_bits(bits, cfg.fmt) * V_UNIT[cfg.fmt]
         for j in range(cols):
@@ -99,10 +99,10 @@ def test_random_macro_against_analytic_oracle():
             i_neg = float(volts @ weights.g_neg[:, j])
             op = convert_analytic(i_pos, cfg.adc, cfg.fmt)
             on = convert_analytic(i_neg, cfg.adc, cfg.fmt)
-            assert res.pos_bits[j] == op.code.to_bits()
-            assert res.neg_bits[j] == on.code.to_bits()
-            assert res.saturated[j] == (op.saturated or on.saturated)
-            assert res.underflow[j] == (op.underflow and on.underflow)
+            assert res.pos_bits[0, j] == op.code.to_bits()
+            assert res.neg_bits[0, j] == on.code.to_bits()
+            assert res.saturated[0, j] == (op.saturated or on.saturated)
+            assert res.underflow[0, j] == (op.underflow and on.underflow)
 
 
 def test_identity_readout_equals_ideal_reference():
@@ -110,7 +110,7 @@ def test_identity_readout_equals_ideal_reference():
     cfg = small_config()
     w = rng.uniform(-1, 1, (16, 6))
     weights = program_weights(w, cfg.device)
-    bits = rng.integers(0, 128, 16).astype(np.uint8)
+    bits = rng.integers(0, 128, 16).astype(np.uint8)[:, None]
     res = macro_mac(bits, weights, cfg, readout="identity")
     dec = decode_bits(bits, cfg.fmt)
     levels = weight_levels(w, cfg.device)
@@ -141,23 +141,23 @@ def test_column_permutation_permutes_results():
     rng = np.random.default_rng(6)
     cfg = small_config()
     w = rng.uniform(-0.9, 0.9, (8, 5))
-    bits = rng.integers(0, 128, 8).astype(np.uint8)
+    bits = rng.integers(0, 128, 8).astype(np.uint8)[:, None]
     perm = rng.permutation(5)
     res = macro_mac(bits, program_weights(w, cfg.device), cfg)
     res_p = macro_mac(bits, program_weights(w[:, perm], cfg.device), cfg)
-    np.testing.assert_array_equal(res_p.digital_values, res.digital_values[perm])
-    np.testing.assert_array_equal(res_p.pos_bits, res.pos_bits[perm])
+    np.testing.assert_array_equal(res_p.digital_values, res.digital_values[:, perm])
+    np.testing.assert_array_equal(res_p.pos_bits, res.pos_bits[:, perm])
 
 
 def test_signed_inputs_flip_contribution():
     cfg = small_config(g_min=0.0)
     w = np.array([[1.0], [1.0]])
     weights = program_weights(w, cfg.device)
-    bits = np.array([0b0100000, 0b0100000], dtype=np.uint8)  # 2.0 each
+    bits = np.array([[0b0100000], [0b0100000]], dtype=np.uint8)  # 2.0 each
     plain = macro_mac(bits, weights, cfg, readout="identity")
-    signed = macro_mac(bits, weights, cfg, signs=np.array([False, True]), readout="identity")
-    assert plain.digital_values[0] == pytest.approx(2 * 2.0 * 15)
-    assert signed.digital_values[0] == pytest.approx(0.0)
+    signed = macro_mac(bits, weights, cfg, signs=np.array([[False], [True]]), readout="identity")
+    assert plain.digital_values[0, 0] == pytest.approx(2 * 2.0 * 15)
+    assert signed.digital_values[0, 0] == pytest.approx(0.0)
 
 
 def test_batched_inputs_match_single():
@@ -167,24 +167,24 @@ def test_batched_inputs_match_single():
     batch = rng.integers(0, 128, (6, 5)).astype(np.uint8)
     res = macro_mac(batch, weights, cfg)
     assert res.digital_values.shape == (5, 3)
+    # the batch equals its (rows, 1) column slices
     for k in range(5):
-        one = macro_mac(batch[:, k], weights, cfg)
-        np.testing.assert_array_equal(res.digital_values[k], one.digital_values)
-        np.testing.assert_array_equal(res.pos_bits[k], one.pos_bits)
+        one = macro_mac(batch[:, k : k + 1], weights, cfg)
+        np.testing.assert_array_equal(res.digital_values[k : k + 1], one.digital_values)
+        np.testing.assert_array_equal(res.pos_bits[k : k + 1], one.pos_bits)
 
 
 def test_shape_contracts():
     cfg = small_config()
     weights = program_weights(np.zeros((4, 2)), cfg.device)
-    with pytest.raises(ContractError):
-        macro_mac(np.zeros(3, dtype=np.uint8), weights, cfg)
-    with pytest.raises(ContractError):
-        macro_mac(np.zeros(4, dtype=np.uint8), weights, cfg, readout="bogus")
-    # codes are one vector or a (rows, n) batch: a scalar or a 3-D array is no batch
-    with pytest.raises(ContractError):
-        macro_mac(np.uint8(3), weights, cfg)
-    with pytest.raises(ContractError):
-        macro_mac(np.zeros((4, 2, 2), dtype=np.uint8), weights, cfg)
+    with pytest.raises(ContractError, match="3 input rows for a 4-row macro"):
+        macro_mac(np.zeros((3, 1), dtype=np.uint8), weights, cfg)
+    with pytest.raises(ContractError, match="unknown readout"):
+        macro_mac(np.zeros((4, 1), dtype=np.uint8), weights, cfg, readout="bogus")
+    # codes are a (rows, n) batch: a scalar, one vector or a 3-D array is no batch
+    for bad in (np.uint8(3), np.zeros(4, dtype=np.uint8), np.zeros((4, 2, 2), dtype=np.uint8)):
+        with pytest.raises(ContractError, match=r"must be a \(rows, n\) batch"):
+            macro_mac(bad, weights, cfg)
 
 
 def test_e3m4_macro_config():
@@ -192,9 +192,9 @@ def test_e3m4_macro_config():
     assert cfg.latency == pytest.approx(150e-9)
     assert cfg.adc == AdcConfig()
     weights = program_weights(np.full((4, 2), 0.5), cfg.device)
-    bits = np.full(4, (3 << 4) | 2, dtype=np.uint8)
+    bits = np.full((4, 1), (3 << 4) | 2, dtype=np.uint8)
     res = macro_mac(bits, weights, cfg)
-    assert res.digital_values.shape == (2,)
+    assert res.digital_values.shape == (1, 2)
 
 
 def test_int8_readout_matches_baseline_converter():
@@ -218,8 +218,8 @@ def test_int8_readout_matches_baseline_converter():
 def test_non_integer_codes_rejected():
     cfg = small_config()
     weights = program_weights(np.zeros((4, 2)), cfg.device)
-    with pytest.raises(ContractError):
-        macro_mac(np.full(4, 3.7), weights, cfg)
+    with pytest.raises(ContractError, match="integer dtype"):
+        macro_mac(np.full((4, 1), 3.7), weights, cfg)
 
 
 def test_default_adc_serves_every_format():

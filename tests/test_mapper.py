@@ -108,7 +108,7 @@ def test_tiles_cover_matrix_exactly_once(rows, cols):
 def test_im2col_1x1_identity():
     layer = LayerSpec.conv(3, 1, 5)
     x = np.arange(3 * 4 * 4, dtype=float).reshape(3, 4, 4)
-    cols = im2col(x, layer)
+    cols = im2col(x[None], layer)
     assert cols.shape == (3, 16)
     np.testing.assert_array_equal(cols, x.reshape(3, -1))
 
@@ -116,7 +116,7 @@ def test_im2col_1x1_identity():
 def test_im2col_3x3_no_pad():
     layer = LayerSpec.conv(1, 3, 1)
     x = np.arange(16, dtype=float).reshape(1, 4, 4)
-    cols = im2col(x, layer)
+    cols = im2col(x[None], layer)
     assert cols.shape == (9, 4)
     np.testing.assert_array_equal(cols[:, 0], x[0, :3, :3].reshape(-1))
 
@@ -128,7 +128,7 @@ def test_im2col_matmul_equals_direct_conv():
         x = rng.standard_normal((3, 7, 7))
         w = rng.standard_normal((4, 3, 3, 3))
         w_mat = w.reshape(4, -1).T  # rows ordered (c, ki, kj)
-        cols = im2col(x, layer)
+        cols = im2col(x[None], layer)
         oh, ow = conv_output_shape(layer, 7, 7)
         got = (cols.T @ w_mat).T.reshape(4, oh, ow)
         np.testing.assert_allclose(
@@ -150,8 +150,10 @@ def test_im2col_batch_stride_pad_equals_index_formula():
 
 
 def test_im2col_channel_mismatch():
-    with pytest.raises(ContractError):
-        im2col(np.zeros((2, 4, 4)), LayerSpec.conv(3, 3, 1))
+    # two channels for a 3-channel layer, and one (c, h, w) image, which is no batch
+    for bad in (np.zeros((1, 2, 4, 4)), np.zeros((3, 4, 4))):
+        with pytest.raises(ContractError, match=r"expected \(n, 3, h, w\) input"):
+            im2col(bad, LayerSpec.conv(3, 3, 1))
 
 
 def test_conv_output_shape_contract():
@@ -170,7 +172,7 @@ def test_single_tile_plan_equals_macro_mac():
     w = rng.uniform(-1, 1, (8, 4))
     plan = map_matrix(8, 4)
     bank = MacroBank.build(plan, w, cfg, weight_scale=1.0)
-    bits = rng.integers(0, 128, 8).astype(np.uint8)
+    bits = rng.integers(0, 128, 8).astype(np.uint8)[:, None]
 
     res = execute_plan(plan, bits, bank)
     direct = macro_mac(bits, program_weights(w, cfg.device, seed=0), cfg)
@@ -189,9 +191,9 @@ def test_row_split_identity_readout_is_lossless():
     # treat the signed levels as the weight matrix; dividing by the level
     # range normalizes them back to [-1, 1] and the group scale cancels
     bank = MacroBank.build(plan, levels, cfg, weight_scale=cfg.device.level_scale)
-    bits = rng.integers(0, 128, rows).astype(np.uint8)
+    bits = rng.integers(0, 128, rows).astype(np.uint8)[:, None]
     res = execute_plan(plan, bits, bank, readout="identity")
-    dense = decode_bits(bits, E2M5) @ levels
+    dense = decode_bits(bits, E2M5).T @ levels
     np.testing.assert_array_equal(res.values, dense)
 
 
@@ -272,9 +274,10 @@ def test_execute_plan_batched():
     batch = rng.integers(0, 128, (10, 6)).astype(np.uint8)
     res = execute_plan(plan, batch, bank, readout="identity")
     assert res.values.shape == (6, 3)
+    # the batch equals its (rows, 1) column slices
     for k in range(6):
-        one = execute_plan(plan, batch[:, k], bank, readout="identity")
-        np.testing.assert_array_equal(res.values[k], one.values)
+        one = execute_plan(plan, batch[:, k : k + 1], bank, readout="identity")
+        np.testing.assert_array_equal(res.values[k : k + 1], one.values)
 
 
 @pytest.mark.parametrize("readout", ["adc", "int8", "identity"])
@@ -299,8 +302,8 @@ def test_missing_macro_raises():
     cfg = MacroConfig(device=ideal_device())
     plan = map_matrix(4, 2)
     bank = MacroBank(plan, cfg)  # nothing programmed
-    with pytest.raises(ContractError):
-        execute_plan(plan, np.zeros(4, dtype=np.uint8), bank)
+    with pytest.raises(ContractError, match="no macro programmed for tile 0"):
+        execute_plan(plan, np.zeros((4, 1), dtype=np.uint8), bank)
 
 
 def test_bank_built_for_another_plan_rejected():
@@ -418,10 +421,10 @@ def test_execute_plan_accepts_array_like_signs():
     cfg = MacroConfig(device=ideal_device())
     plan = map_matrix(4, 2)
     bank = MacroBank.build(plan, np.ones((4, 2)), cfg)
-    bits = np.full(4, 0b0100000, dtype=np.uint8)  # 2.0 each
-    signs = [False, True, False, True]
+    bits = np.full((4, 1), 0b0100000, dtype=np.uint8)  # 2.0 each
+    signs = [[False], [True], [False], [True]]
     res = execute_plan(plan, bits, bank, signs=signs, readout="identity")
-    np.testing.assert_array_equal(res.values, [0.0, 0.0])
+    np.testing.assert_array_equal(res.values, [[0.0, 0.0]])
     ref = execute_plan(plan, bits, bank, signs=np.array(signs), readout="identity")
     np.testing.assert_array_equal(res.values, ref.values)
 
@@ -432,11 +435,11 @@ def test_signs_shape_must_match_codes():
     bank = MacroBank.build(plan, np.ones((4, 2)), cfg)
     bits = np.zeros((4, 3), dtype=np.uint8)
     signs = np.zeros(4, dtype=bool)  # one sign per row, not per code
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"signs \(4,\) do not match input codes \(4, 3\)"):
         execute_plan(plan, bits, bank, signs=signs)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"signs \(4,\) do not match input codes \(4, 3\)"):
         macro_mac(bits, bank[0].pair, bank.config, signs=signs)
-    # a (4, 2, 2) batch used to run as 4 flattened vectors
-    for bad in (np.uint8(3), np.zeros((4, 2, 2), dtype=np.uint8)):
-        with pytest.raises(ContractError):
+    # neither a scalar, one (4,) vector nor a (4, 2, 2) array is a (rows, n) batch
+    for bad in (np.uint8(3), np.zeros(4, dtype=np.uint8), np.zeros((4, 2, 2), dtype=np.uint8)):
+        with pytest.raises(ContractError, match=r"must be a \(rows, n\) batch"):
             execute_plan(plan, bad, bank)

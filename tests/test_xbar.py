@@ -112,8 +112,8 @@ def test_four_row_column_sum():
 
 def test_dimension_mismatch():
     pair = ConductancePair(np.zeros((4, 2)), np.zeros((4, 2)))
-    with pytest.raises(ContractError):
-        macro_mac(np.zeros(3, dtype=np.uint8), pair, MacroConfig())
+    with pytest.raises(ContractError, match="3 input rows for a 4-row macro"):
+        macro_mac(np.zeros((3, 1), dtype=np.uint8), pair, MacroConfig())
 
 
 def test_batched_currents_match_loop():
@@ -180,6 +180,15 @@ def test_empty_tile_rejected():
     for shape in ((0, 3), (3, 0)):
         with pytest.raises(ContractError):
             program_weights(np.zeros(shape), NOISELESS)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4), (0, 3), (3, 0)], ids=repr)
+def test_weights_must_be_one_non_empty_block(shape, sigma):
+    # one check before both paths, so the noisy path rejects the shapes the
+    # noiseless one does; 0-D and 1-D weights are no one-row tile
+    with pytest.raises(ContractError, match=r"non-empty \(rows, cols\) block"):
+        program_weights(np.zeros(shape), DeviceModel(sigma_rel=sigma))
 
 
 def test_non_finite_weights_rejected():
