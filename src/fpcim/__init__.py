@@ -10,7 +10,7 @@ partial-sum planning and a calibrated performance model.
 from .adc import AdcConfig, AdcResult, convert_analytic, simulate_transient
 from .cimmacro import MacroConfig, MacroResult, macro_mac, scale_chain
 from .errors import ContractError
-from .fpcodec import E2M5, E3M4, FpCode, FpFormat, decode, encode, quantize_tensor
+from .fpcodec import E2M5, E3M4, FpFormat, decode, quantize_tensor
 from .mapper import LayerSpec, MacroBank, TilePlan, execute_plan, im2col, map_conv, map_fc
 from .perfmodel import EnergyParams, total_comparison
 from .xbar import ConductancePair, DeviceModel, program_weights
@@ -26,7 +26,6 @@ __all__ = [
     "E2M5",
     "E3M4",
     "EnergyParams",
-    "FpCode",
     "FpFormat",
     "LayerSpec",
     "MacroBank",
@@ -35,7 +34,6 @@ __all__ = [
     "TilePlan",
     "convert_analytic",
     "decode",
-    "encode",
     "execute_plan",
     "im2col",
     "macro_mac",

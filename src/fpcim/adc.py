@@ -6,15 +6,19 @@ extra capacitor is switched in and the charge redistributes, dropping the
 output to exactly ``V_MID = V_TH / 2`` thanks to the doubling bank
 ``[C, C, 2C, 4C, ...]`` and the 0 V reset level ``V_RESET``.  The number of
 charge-share events is the exponent; the residue voltage sampled at
-``t_int`` is digitized by a single-slope ramp into the mantissa.  A result
-that never reaches ``V_MID`` by the sample moment is not read out (zero
-code, underflow flag); running out of bank capacitors saturates to the top
-code.  The format read out defines the converter: one bank capacitor per
-exponent step and one ramp step per mantissa code (E2M5: 4 capacitors, 32
-steps; E3M4: 8 and 16), so every converter takes the ``FpFormat``.  The
-levels are constants of the circuit, and ``AdcConfig`` holds only
-``c_int`` and ``t_int``: the threshold reaches a code only through
-``c_int * V_MID``, so ``c_int`` sets every scale the threshold could.
+``t_int`` is digitized by a single-slope ramp into the mantissa.  The two
+counts are the bits of the 7-bit code: each FP converter returns the
+integer pattern ``(e << M) | m`` (see ``fpcodec``).  A result that never
+reaches ``V_MID`` by the sample moment is not read out (code 0, underflow
+flag); running out of bank capacitors saturates to the top code,
+``TOP_CODE`` = 127 in either format.  The format read out defines the
+converter: one bank capacitor per exponent step and one ramp step per
+mantissa code (E2M5: 4 capacitors, 32 steps; E3M4: 8 and 16), so every FP
+converter takes the ``FpFormat``, with no default: a bare pattern does not
+say which format it is.  The levels are constants of the circuit, and
+``AdcConfig`` holds only ``c_int`` and ``t_int``: the threshold reaches a
+code only through ``c_int * V_MID``, so ``c_int`` sets every scale the
+threshold could.
 
 Two conversion paths are provided: ``simulate_transient`` is the
 event-driven simulation of one constant current with a full trace,
@@ -46,8 +50,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractError
-from .fpcodec import E2M5, FpCode, FpFormat, all_values
+from .errors import ContractError, is_real
+from .fpcodec import CODE_BITS, E2M5, FpFormat, all_values
 
 __all__ = [
     "AdcConfig",
@@ -65,6 +69,7 @@ __all__ = [
     "V_TH",
     "V_MID",
     "V_RESET",
+    "TOP_CODE",
     "x_sat",
 ]
 
@@ -80,6 +85,9 @@ LATENCY_NS = {"E2M5": 200, "E3M4": 150, "INT8": 500}
 V_TH = 2.0
 V_RESET = 0.0
 V_MID = (V_TH + V_RESET) / 2
+
+# A saturated conversion reads all seven bits set: the top code of either format.
+TOP_CODE = (1 << CODE_BITS) - 1
 
 
 def x_sat(fmt: FpFormat) -> float:
@@ -108,7 +116,7 @@ class AdcConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not 0 < v < math.inf:
+            if not (is_real(v) and 0 < v < math.inf):
                 raise ContractError(f"{f.name} must be finite and positive, got {v!r}")
 
     def cap_bank(self, fmt: FpFormat) -> tuple[float, ...]:
@@ -139,7 +147,7 @@ class AdcEvent:
 
 @dataclass
 class AdcResult:
-    code: FpCode
+    code: int  # the 7-bit pattern (e << M) | m: 0 on underflow, 127 on saturation
     v_m: float
     underflow: bool = False
     saturated: bool = False
@@ -155,7 +163,7 @@ def charge_share(v_o: float, c_active: float, c_next: float, v_reset: float = 0.
     return (c_active * v_o + c_next * v_reset) / (c_active + c_next)
 
 
-def single_slope(v_m: float, fmt: FpFormat = E2M5) -> int:
+def single_slope(v_m: float, fmt: FpFormat) -> int:
     """Mantissa code for a sampled voltage in [V_MID, V_TH).
 
     Counter semantics: the ramp of ``fmt.mant_levels`` steps starts one
@@ -169,7 +177,7 @@ def single_slope(v_m: float, fmt: FpFormat = E2M5) -> int:
     return min(max(k, 0), fmt.mant_levels - 1)
 
 
-def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcResult:
+def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat) -> AdcResult:
     """Closed-form conversion of a constant current (no trace).
 
     With ``x = i_mac * t_int / (c_int * V_MID)``: x < 1 underflows to the
@@ -183,18 +191,16 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat = E2M5) -> A
     """
     x = float(adc_x(i_mac, config))
     if x < 1.0:
-        return AdcResult(FpCode(0, 0, fmt), v_m=x * V_MID, underflow=True)
+        return AdcResult(0, v_m=x * V_MID, underflow=True)
     if x >= x_sat(fmt):
-        return AdcResult(
-            FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt), v_m=V_TH, saturated=True
-        )
+        return AdcResult(TOP_CODE, v_m=V_TH, saturated=True)
     e = math.frexp(x)[1] - 1  # exact binade, no log rounding at the edges
     r = x / 2.0**e  # in [1, 2)
     mant = min(math.ceil((r - 1.0) * fmt.mant_levels), fmt.mant_levels - 1)
-    return AdcResult(FpCode(e, mant, fmt), v_m=V_MID * r)
+    return AdcResult((e << fmt.mantissa_bits) | mant, v_m=V_MID * r)
 
 
-def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat = E2M5):
+def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat):
     """Vectorized analytic conversion, read from the float64 bit pattern of x.
 
     x is clipped to [1, x_sat) and viewed as int64 ``u``.  With ``d = 52 - M``
@@ -224,7 +230,7 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat =
     return u.astype(np.uint8), underflow, saturated, all_values(fmt).take(u)
 
 
-def simulate_transient(i_mac, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcResult:
+def simulate_transient(i_mac, config: AdcConfig, fmt: FpFormat) -> AdcResult:
     """Event-driven transient of one constant-current conversion with a full trace.
 
     ``i_mac`` is one scalar current in amperes, held over ``[0, t_int]``;
@@ -275,14 +281,13 @@ def simulate_transient(i_mac, config: AdcConfig, fmt: FpFormat = E2M5) -> AdcRes
     trace.append(AdcEvent(config.t_int, "sample", v_m, sw_bits()))
 
     if saturated:
-        code = FpCode(fmt.exp_max, fmt.mant_levels - 1, fmt)
-        return AdcResult(code, v_m=V_TH, saturated=True, trace=trace)
+        return AdcResult(TOP_CODE, v_m=V_TH, saturated=True, trace=trace)
     if shares == 0 and v_m < V_MID:
-        return AdcResult(FpCode(0, 0, fmt), v_m=v_m, underflow=True, trace=trace)
+        return AdcResult(0, v_m=v_m, underflow=True, trace=trace)
     mant = single_slope(v_m, fmt)
     step = (V_TH - V_MID) / fmt.mant_levels
     trace.append(AdcEvent(config.t_int, "ramp-compare", V_MID + mant * step, sw_bits()))
-    return AdcResult(FpCode(shares, mant, fmt), v_m=v_m, trace=trace)
+    return AdcResult((shares << fmt.mantissa_bits) | mant, v_m=v_m, trace=trace)
 
 
 def int8_baseline_convert(i_mac, config: AdcConfig):

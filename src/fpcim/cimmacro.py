@@ -61,6 +61,10 @@ class MacroConfig:
     device: DeviceModel = field(default_factory=DeviceModel)
 
     def __post_init__(self):
+        for name, kind in (("fmt", FpFormat), ("adc", AdcConfig), ("device", DeviceModel)):
+            v = getattr(self, name)
+            if not isinstance(v, kind):
+                raise ContractError(f"{name} must be a {kind.__name__}, got {v!r}")
         if self.latency <= self.adc.t_int:
             raise ContractError("macro latency must exceed the ADC integration window")
 
@@ -91,8 +95,8 @@ class MacroResult:
 
 
 def scale_chain(config: MacroConfig) -> float:
-    """x value produced by one dot-product unit: V_UNIT[fmt] * g_lsb * t_int / c_int."""
-    return V_UNIT[config.fmt] * config.device.g_lsb * config.adc.t_int / config.adc.c_int
+    """x value of one dot-product unit: V_UNIT[fmt] * g_lsb * t_int / (c_int * V_MID)."""
+    return V_UNIT[config.fmt] * config.device.g_lsb * config.adc.t_int / (config.adc.c_int * V_MID)
 
 
 def _levels_from_pair(weights: ConductancePair, device: DeviceModel) -> np.ndarray:
@@ -150,7 +154,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     n, cols = i_pos.shape
     out = MacroResult(np.empty((n, cols), np.uint8), np.empty((n, cols), np.uint8),
                       np.empty((n, cols)), np.empty((n, cols), bool), np.empty((n, cols), bool))
-    gain = V_MID / scale_chain(config)
+    gain = 1.0 / scale_chain(config)
     step = max(1, fpcodec._BLOCK // cols)
     for lo in range(0, n, step):
         vecs = slice(lo, lo + step)
@@ -191,12 +195,14 @@ def _convert(readout: str, currents: np.ndarray, config: MacroConfig):
 def ideal_reference(decoded_inputs: np.ndarray, weight_levels: np.ndarray) -> np.ndarray:
     """Golden model: exact double-precision differential dot products.
 
-    ``decoded_inputs`` (rows,) or (rows, n), ``weight_levels`` (rows, cols)
-    signed; returns the per-column dot products in the same units as
-    ``MacroResult.digital_values``.
+    ``decoded_inputs`` is a (rows, n) batch, one column per input vector,
+    and ``weight_levels`` (rows, cols) signed; returns the (n, cols) dot
+    products in the same units as ``MacroResult.digital_values``.
     """
     d = np.asarray(decoded_inputs, dtype=float)
     w = np.asarray(weight_levels, dtype=float)
+    if d.ndim != 2:
+        raise ContractError(f"decoded inputs must be a (rows, n) batch, not {d.shape}")
     if d.shape[0] != w.shape[0]:
         raise ContractError("input length must match weight rows")
     return d.T @ w

@@ -1,14 +1,19 @@
 """Bit-exact codec for the unsigned 7-bit hardware floating-point formats.
 
 Two formats share the 7-bit code width: E2M5 (2 exponent bits, 5 mantissa
-bits) and E3M4.  A code decodes to ``(1 + m / 2^M) * 2^e`` with an implicit
-leading one and zero exponent bias, so the non-zero range is [1 + 2^-M,
-(2 - 2^-M) * 2^(2^E - 1)].  The all-zeros code is reserved for an exact 0
-(flush-to-zero; the format has no subnormals).  Signs are carried out of
-band as a separate bit array; the 7-bit code itself is unsigned.
+bits) and E3M4.  A code is its bit pattern, an integer in [0, 128) with the
+exponent in the high bits: ``(e << M) | m``, e.g. E2M5 exponent 2 /
+mantissa 30 is ``0b1011110``.  It decodes to ``(1 + m / 2^M) * 2^e`` with
+an implicit leading one and zero exponent bias, so the non-zero range is
+[1 + 2^-M, (2 - 2^-M) * 2^(2^E - 1)].  The all-zeros code is reserved for an
+exact 0 (flush-to-zero; the format has no subnormals).  Signs are carried
+out of band as a separate bit array; the 7-bit code itself is unsigned.
 
-Serialized codes occupy the low 7 bits of a byte, exponent in the high
-bits: ``[e..e m..m]``, e.g. E2M5 exponent 2 / mantissa 30 is ``0b1011110``.
+A pattern carries no format: the same bits read 7.75 in E2M5 and 60.0 in
+E3M4, so every function that makes or reads codes takes the ``FpFormat``
+and none defaults it.  ``decode`` is the scalar closed-form reference;
+``decode_bits``, ``encode_values`` and ``quantize_tensor`` work on arrays
+of patterns.
 """
 
 from __future__ import annotations
@@ -19,16 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, is_int, is_real
 
 __all__ = [
     "FpFormat",
-    "FpCode",
-    "EncodeResult",
     "E2M5",
     "E3M4",
     "decode",
-    "encode",
     "decode_bits",
     "encode_values",
     "all_values",
@@ -83,49 +85,14 @@ E2M5 = FpFormat(2, 5)
 E3M4 = FpFormat(3, 4)
 
 
-@dataclass(frozen=True)
-class FpCode:
-    """One 7-bit hardware code: unsigned integer exponent and mantissa fields."""
-
-    exponent: int
-    mantissa: int
-    format: FpFormat = E2M5
-
-    def __post_init__(self):
-        for v in (self.exponent, self.mantissa):
-            if not isinstance(v, (int, np.integer)):
-                raise ContractError(f"code fields must be integers, got {v!r}")
-        if not 0 <= self.exponent <= self.format.exp_max:
-            raise ContractError(f"exponent {self.exponent} out of range for {self.format.name}")
-        if not 0 <= self.mantissa < self.format.mant_levels:
-            raise ContractError(f"mantissa {self.mantissa} out of range for {self.format.name}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent == 0 and self.mantissa == 0
-
-    def to_bits(self) -> int:
-        return (self.exponent << self.format.mantissa_bits) | self.mantissa
-
-    @classmethod
-    def from_bits(cls, bits: int, fmt: FpFormat = E2M5) -> "FpCode":
-        if not (isinstance(bits, (int, np.integer)) and 0 <= bits < (1 << CODE_BITS)):
-            raise ContractError(f"code bits {bits!r} are not a 7-bit integer")
-        return cls(bits >> fmt.mantissa_bits, bits & (fmt.mant_levels - 1), fmt)
-
-
-class EncodeResult(NamedTuple):
-    code: FpCode
-    underflow: bool
-    overflow: bool
-
-
-def decode(code: FpCode) -> float:
-    """Decoded value of a code: 0 for the all-zeros code, else (1+m/2^M)*2^e."""
-    if code.is_zero:
+def decode(bits: int, fmt: FpFormat) -> float:
+    """Decoded value of one 7-bit code: 0 for the all-zeros code, else (1+m/2^M)*2^e."""
+    if not (is_int(bits) and 0 <= bits < (1 << CODE_BITS)):
+        raise ContractError(f"code bits {bits!r} are not a 7-bit integer")
+    if bits == 0:
         return 0.0
-    fmt = code.format
-    return (1.0 + code.mantissa / fmt.mant_levels) * 2.0**code.exponent
+    e, m = divmod(int(bits), fmt.mant_levels)
+    return (1.0 + m / fmt.mant_levels) * 2.0**e
 
 
 @functools.cache
@@ -139,25 +106,13 @@ def all_values(fmt: FpFormat) -> np.ndarray:
     return vals
 
 
-def encode(value: float, fmt: FpFormat = E2M5) -> EncodeResult:
-    """Encode a non-negative real to the nearest code.
-
-    Picks the decodable value (including 0) with minimum distance, ties to
-    the even mantissa (as ``np.rint``); mantissa overflow carries into the
-    exponent.  The FP-ADC's ceiling readout is ``adc``'s own: it clamps at
-    the top mantissa instead of carrying.
-
-    Values that flush to zero set the underflow flag; values above the
-    format maximum clamp to the top code and set the overflow flag.
-    """
-    if value < 0 or not np.isfinite(value):
-        raise ContractError(f"encode requires a finite non-negative value, got {value}")
-    bits, under, over = encode_values(np.array([value]), fmt)
-    return EncodeResult(FpCode.from_bits(int(bits[0]), fmt), bool(under[0]), bool(over[0]))
-
-
-def encode_values(values: np.ndarray, fmt: FpFormat = E2M5):
+def encode_values(values: np.ndarray, fmt: FpFormat):
     """Vectorized round-to-nearest encode of non-negative values.
+
+    Each value gets the decodable value (including 0) at minimum distance,
+    ties to the even mantissa (as ``np.rint``); a mantissa that rounds over
+    carries into the exponent.  The FP-ADC's ceiling readout is ``adc``'s
+    own: it clamps at the top mantissa instead of carrying.
 
     The codes are ``_encode_codes``'s; the flags are added here: values
     that land on the zero code but are not 0 underflow, values above
@@ -203,7 +158,7 @@ def _encode_codes(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return u.astype(np.uint8)
 
 
-def decode_bits(bits: np.ndarray, fmt: FpFormat = E2M5) -> np.ndarray:
+def decode_bits(bits: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Vectorized decode of 7-bit code patterns through the ``all_values`` table.
 
     The codes must have an integer dtype; they index the table as they are.
@@ -232,7 +187,7 @@ class QuantResult(NamedTuple):
     scale: float  # multiplier mapping real values into the decodable range
 
 
-def quantize_tensor(values: np.ndarray, fmt: FpFormat = E2M5, scale: float | None = None) -> QuantResult:
+def quantize_tensor(values: np.ndarray, fmt: FpFormat, scale: float | None = None) -> QuantResult:
     """Max-abs post-training quantization of a real tensor.
 
     The scale maps the largest magnitude onto the top decodable value;
@@ -253,7 +208,7 @@ def quantize_tensor(values: np.ndarray, fmt: FpFormat = E2M5, scale: float | Non
         raise ContractError(f"quantize requires finite values, max-abs is {max_abs}")
     if scale is None:
         scale = fmt.max_value / max_abs if max_abs > 0 else 1.0
-    if not 0 < scale < np.inf:
+    if not (is_real(scale) and 0 < scale < np.inf):
         raise ContractError(f"quantization scale must be finite and positive, got {scale}")
     if not scale * max_abs < np.inf:
         raise ContractError(f"quantization scale {scale} takes max-abs {max_abs} beyond float64")

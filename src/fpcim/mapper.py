@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cimmacro import MacroConfig, batch_inputs, macro_mac
-from .errors import ContractError
+from .errors import ContractError, is_int, is_real
 from .xbar import MAX_COLS, MAX_ROWS, ConductancePair, program_weights
 
 __all__ = [
@@ -56,7 +56,7 @@ class LayerSpec:
     def __post_init__(self):
         for f in fields(self)[1:]:
             v = getattr(self, f.name)
-            if not isinstance(v, (int, np.integer)):
+            if not is_int(v):
                 raise ContractError(f"{f.name} must be an integer, got {v!r}")
         if self.kind == "conv":
             if min(self.in_channels, self.kernel, self.out_channels, self.stride) < 1:
@@ -123,7 +123,7 @@ def map_matrix(rows: int, cols: int) -> TilePlan:
     Tile ids run over the column blocks in order, and over the row blocks
     within one.
     """
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (rows, cols)):
+    if not all(is_int(v) and v >= 1 for v in (rows, cols)):
         raise ContractError(f"matrix dimensions must be integers >= 1, got {rows!r} x {cols!r}")
     plan = TilePlan(rows, cols)
     for cb in range(math.ceil(cols / MAX_COLS)):
@@ -207,9 +207,9 @@ class MacroBank:
         scale must be finite and positive.  ``seed`` must be a non-negative
         integer; tile ``t`` is programmed with seed ``seed + t.id``.
         """
-        if weight_scale is not None and not 0 < weight_scale < np.inf:
+        if weight_scale is not None and not (is_real(weight_scale) and 0 < weight_scale < np.inf):
             raise ContractError(f"weight_scale must be finite and positive, got {weight_scale}")
-        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        if not (is_int(seed) and seed >= 0):
             raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
         w = np.asarray(weights, dtype=float)
         if w.shape != (plan.rows, plan.cols):

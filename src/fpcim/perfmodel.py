@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .adc import LATENCY_NS
-from .errors import ContractError
+from .errors import ContractError, is_real
 from .xbar import MAX_COLS, MAX_ROWS
 
 __all__ = [
@@ -53,7 +53,7 @@ class BlockPowers:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not 0 <= v < math.inf:
+            if not (is_real(v) and 0 <= v < math.inf):
                 raise ContractError(f"{f.name} power must be finite and non-negative, got {v!r}")
 
     @property

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, is_int, is_real
 from .fpcodec import _BLOCK
 
 __all__ = [
@@ -52,11 +52,12 @@ class DeviceModel:
     sigma_rel: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.g_min < self.g_max < np.inf:
+        if not (is_real(self.g_min) and is_real(self.g_max)
+                and 0 <= self.g_min < self.g_max < np.inf):
             raise ContractError("need 0 <= g_min < g_max < inf")
-        if not (isinstance(self.levels, (int, np.integer)) and self.levels >= 2):
+        if not (is_int(self.levels) and self.levels >= 2):
             raise ContractError(f"levels must be an integer >= 2, got {self.levels!r}")
-        if not 0 <= self.sigma_rel < np.inf:
+        if not (is_real(self.sigma_rel) and 0 <= self.sigma_rel < np.inf):
             raise ContractError("sigma_rel must be finite and non-negative")
 
     @property
@@ -130,7 +131,7 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
     58-68 ms went to 79-90 ms on a 2-vCPU VM, with about five times the
     page faults).
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or not w.size:

@@ -63,35 +63,35 @@ def test_share_lands_at_v_mid_for_every_bank_stage():
 # ---------------------------------------------------------------- single slope
 
 def test_single_slope_paper_value():
-    assert single_slope(1.271) == 9
+    assert single_slope(1.271, E2M5) == 9
 
 
 def test_single_slope_bottom():
-    assert single_slope(1.0) == 0
+    assert single_slope(1.0, E2M5) == 0
 
 
 def test_single_slope_top_clamps():
-    assert single_slope(1.999) == 31
+    assert single_slope(1.999, E2M5) == 31
 
 
 def test_single_slope_exact_step_is_ceiling():
     # 1.28125 sits exactly on step 9; ceiling keeps it there
-    assert single_slope(1.28125) == 9
+    assert single_slope(1.28125, E2M5) == 9
 
 
 def test_single_slope_range_contract():
     with pytest.raises(ContractError):
-        single_slope(0.9)
+        single_slope(0.9, E2M5)
     with pytest.raises(ContractError):
-        single_slope(2.0)
+        single_slope(2.0, E2M5)
 
 
 # ---------------------------------------------------------------- analytic
 
 def test_analytic_transient_scenario():
-    r = convert_analytic(5.38e-6, CFG)
-    assert r.code.to_bits() == 0b1001001
-    assert (r.code.exponent, r.code.mantissa) == (2, 9)
+    r = convert_analytic(5.38e-6, CFG, E2M5)
+    assert r.code == 0b1001001
+    assert divmod(r.code, E2M5.mant_levels) == (2, 9)
     assert r.v_m == pytest.approx(1.27775, abs=1e-12)
     # within 1% of the circuit-level 1.271 V measurement
     assert abs(r.v_m - 1.271) / 1.271 < 0.01
@@ -99,39 +99,39 @@ def test_analytic_transient_scenario():
 
 
 def test_analytic_zero_current_underflows():
-    r = convert_analytic(0.0, CFG)
-    assert r.code.is_zero and r.underflow
+    r = convert_analytic(0.0, CFG, E2M5)
+    assert r.code == 0 and r.underflow
 
 
 def test_analytic_saturation():
     # x = 16 exceeds the e=3 segment; nudge past the float round trip
     i_sat = 16.0000001 * CFG.c_int / CFG.t_int
     assert i_sat == pytest.approx(16.84e-6, rel=1e-3)
-    r = convert_analytic(i_sat, CFG)
+    r = convert_analytic(i_sat, CFG, E2M5)
     assert r.saturated
-    assert r.code.to_bits() == 0b1111111
+    assert r.code == 0b1111111
 
 
 def test_analytic_underflow_boundary():
     i_edge = V_MID * CFG.c_int / CFG.t_int  # ~1.0526 uA
     assert i_edge == pytest.approx(1.0526e-6, rel=1e-3)
-    assert convert_analytic(i_edge * 0.999, CFG).underflow
-    assert not convert_analytic(i_edge * 1.001, CFG).underflow
+    assert convert_analytic(i_edge * 0.999, CFG, E2M5).underflow
+    assert not convert_analytic(i_edge * 1.001, CFG, E2M5).underflow
 
 
 def test_analytic_negative_current_contract():
     with pytest.raises(ContractError):
-        convert_analytic(-1e-6, CFG)
+        convert_analytic(-1e-6, CFG, E2M5)
 
 
 def test_analytic_array_matches_scalar():
     currents = np.linspace(0, 20e-6, 777)
-    bits, under, sat, values = convert_analytic_array(currents, CFG)
+    bits, under, sat, values = convert_analytic_array(currents, CFG, E2M5)
     for k, i in enumerate(currents):
-        r = convert_analytic(float(i), CFG)
-        assert bits[k] == r.code.to_bits()
+        r = convert_analytic(float(i), CFG, E2M5)
+        assert bits[k] == r.code
         assert under[k] == r.underflow and sat[k] == r.saturated
-        assert values[k] == decode(r.code)
+        assert values[k] == decode(r.code, E2M5)
 
 
 def _ramp_sweep(fmt):
@@ -165,22 +165,22 @@ def test_analytic_array_matches_scalar_at_ramp_steps(fmt):
     for k, i in enumerate(currents):
         r = convert_analytic(float(i), cfg, fmt)
         assert under[k] == r.underflow and sat[k] == r.saturated
-        assert codes[k] == r.code.to_bits(), f"x = {x[k]!r}"
+        assert codes[k] == r.code, f"x = {x[k]!r}"
     # an x on a ramp step reads that step, in the transient too: it
     # integrates these currents exactly and the ramp steps are powers of two
     on_step = np.isin(x, steps[1:-1])
     np.testing.assert_array_equal(values[on_step], x[on_step])
     for i, code in zip(currents[on_step], codes[on_step]):
-        assert simulate_transient(float(i), cfg, fmt).code.to_bits() == code
+        assert simulate_transient(float(i), cfg, fmt).code == code
 
 
 # ---------------------------------------------------------------- transient
 
 def test_transient_scenario_full_story():
-    r = simulate_transient(5.38e-6, CFG)
+    r = simulate_transient(5.38e-6, CFG, E2M5)
     shares = share_events(r)
     assert len(shares) == 2
-    assert r.code.to_bits() == 0b1001001
+    assert r.code == 0b1001001
     assert r.v_m == pytest.approx(1.27775, abs=1e-12)
     # share moments: t_k = V_TH * C_active / i
     assert shares[0].time == pytest.approx(2.0 * 100e-15 / 5.38e-6, rel=1e-12)
@@ -192,34 +192,34 @@ def test_transient_scenario_full_story():
 
 
 def test_transient_underflow():
-    r = simulate_transient(1.0e-6, CFG)  # below the 1.0526 uA boundary
-    assert r.underflow and r.code.is_zero
+    r = simulate_transient(1.0e-6, CFG, E2M5)  # below the 1.0526 uA boundary
+    assert r.underflow and r.code == 0
     assert not share_events(r)
     assert r.v_m < V_MID
 
 
 def test_transient_saturation_halts_at_full_bank():
-    r = simulate_transient(19e-6, CFG)
+    r = simulate_transient(19e-6, CFG, E2M5)
     assert r.saturated
-    assert r.code.to_bits() == 0b1111111
+    assert r.code == 0b1111111
     assert r.v_m == V_TH
 
 
 def test_transient_share_count_is_exponent():
     rng = np.random.default_rng(5)
     for i in rng.uniform(1.2e-6, 16e-6, 100):
-        r = simulate_transient(float(i), CFG)
+        r = simulate_transient(float(i), CFG, E2M5)
         if r.saturated or r.underflow:
             continue
         x = i * CFG.t_int / (CFG.c_int * V_MID)
         assert len(share_events(r)) == int(math.floor(math.log2(x)))
-        assert r.code.exponent == len(share_events(r))
+        assert r.code >> E2M5.mantissa_bits == len(share_events(r))
 
 
 def test_transient_vm_normalized_range():
     rng = np.random.default_rng(6)
     for i in rng.uniform(0, 20e-6, 300):
-        r = simulate_transient(float(i), CFG)
+        r = simulate_transient(float(i), CFG, E2M5)
         if not r.underflow and not r.saturated:
             assert V_MID <= r.v_m < V_TH
 
@@ -230,7 +230,7 @@ def test_transient_charge_conservation_and_continuity():
     rng = np.random.default_rng(7)
     bank = CFG.cap_bank(E2M5)
     for i in rng.uniform(1.2e-6, 16.8e-6, 200):
-        r = simulate_transient(float(i), CFG)
+        r = simulate_transient(float(i), CFG, E2M5)
         c_active = bank[0]
         for ev in r.trace:
             if ev.kind != "charge-share":
@@ -249,19 +249,19 @@ def test_transient_takes_one_scalar_current():
     # any array, a size-1 one included, is no current: it fails at the boundary
     for bad in (np.array([5e-6]), [5e-6], np.full((2, 2), 5e-6), [(0.0, 2e-6), (40e-9, 8e-6)]):
         with pytest.raises(ContractError, match="one scalar current"):
-            simulate_transient(bad, CFG)
+            simulate_transient(bad, CFG, E2M5)
     for i in (-1e-6, -math.inf):
         with pytest.raises(ContractError, match="non-negative"):
-            simulate_transient(i, CFG)
+            simulate_transient(i, CFG, E2M5)
     # a 0-D array or a numpy scalar is one current
-    want = simulate_transient(5e-6, CFG)
+    want = simulate_transient(5e-6, CFG, E2M5)
     for i in (np.array(5e-6), np.float64(5e-6)):
-        got = simulate_transient(i, CFG)
+        got = simulate_transient(i, CFG, E2M5)
         assert (got.code, got.v_m, got.trace) == (want.code, want.v_m, want.trace)
 
 
 def test_transient_zero_current():
-    r = simulate_transient(0.0, CFG)
+    r = simulate_transient(0.0, CFG, E2M5)
     assert r.underflow and r.v_m == 0.0
 
 
@@ -270,8 +270,8 @@ def test_transient_zero_current():
 def test_oracle_equivalence_sampled():
     rng = np.random.default_rng(2024)
     for i in rng.uniform(0, 20e-6, 2000):
-        a = convert_analytic(float(i), CFG)
-        t = simulate_transient(float(i), CFG)
+        a = convert_analytic(float(i), CFG, E2M5)
+        t = simulate_transient(float(i), CFG, E2M5)
         assert a.code == t.code, i
         assert a.underflow == t.underflow and a.saturated == t.saturated, i
 
@@ -288,8 +288,8 @@ def test_oracle_equivalence_property(i):
         abs(x - round(x)) < 1e-9 or abs(frac - round(frac)) < 1e-9
     )
     assume(not on_lattice)
-    a = convert_analytic(i, CFG)
-    t = simulate_transient(i, CFG)
+    a = convert_analytic(i, CFG, E2M5)
+    t = simulate_transient(i, CFG, E2M5)
     assert a.code == t.code
     assert (a.underflow, a.saturated) == (t.underflow, t.saturated)
 
@@ -303,13 +303,13 @@ def test_e3m4_bank_and_conversion():
     a = convert_analytic(i, cfg, E3M4)
     t = simulate_transient(i, cfg, E3M4)
     assert a.code == t.code
-    assert a.code.exponent == 6
+    assert a.code >> E3M4.mantissa_bits == 6
 
 
 def test_one_config_converts_every_format():
     # the bank and the ramp come from the format: the default config reads E3M4
     r = convert_analytic(100e-6, AdcConfig(), E3M4)
-    assert r.code.format == E3M4 and r.code.exponent == 6
+    assert r.code >> E3M4.mantissa_bits == 6
     assert x_sat(E2M5) == 16.0 and x_sat(E3M4) == 256.0
 
 
@@ -327,14 +327,14 @@ def test_int8_zero_current():
 
 def _scalar_converter(convert):
     def run(i):
-        r = convert(i, CFG)
-        return r.code.to_bits(), r.saturated
+        r = convert(i, CFG, E2M5)
+        return r.code, r.saturated
     return run
 
 
-def _array_converter(convert):
+def _array_converter(convert, *fmt):
     def run(i):
-        out = convert(np.array([i]), CFG)
+        out = convert(np.array([i]), CFG, *fmt)
         return int(out[0][0]), bool(out[2][0])
     return run
 
@@ -342,7 +342,7 @@ def _array_converter(convert):
 @pytest.mark.parametrize("convert, top", [
     (_scalar_converter(convert_analytic), 0b1111111),
     (_scalar_converter(simulate_transient), 0b1111111),
-    (_array_converter(convert_analytic_array), 0b1111111),
+    (_array_converter(convert_analytic_array, E2M5), 0b1111111),
     (_array_converter(int8_baseline_convert), 255),
 ], ids=["analytic", "transient", "analytic_array", "int8"])
 def test_non_finite_currents(convert, top):
@@ -364,7 +364,7 @@ def test_int8_monotone_over_sweep():
 # ---------------------------------------------------------------- trace
 
 def test_trace_kinds():
-    kinds = [ev.kind for ev in simulate_transient(5.38e-6, CFG).trace]
+    kinds = [ev.kind for ev in simulate_transient(5.38e-6, CFG, E2M5).trace]
     assert kinds[0] == "reset"
     assert "charge-share" in kinds and "sample" in kinds and "ramp-compare" in kinds
 

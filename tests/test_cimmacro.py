@@ -10,6 +10,7 @@ from fpcim.adc import (
     INT8_LSB,
     V_MID,
     AdcConfig,
+    adc_x,
     convert_analytic,
     convert_analytic_array,
     int8_baseline_convert,
@@ -18,7 +19,7 @@ from fpcim.adc import (
 from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
 from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
-from fpcim.fpcodec import E2M5, E3M4, FpCode, decode, decode_bits
+from fpcim.fpcodec import E2M5, E3M4, decode, decode_bits
 from fpcim.xbar import DeviceModel, program_weights, weight_levels
 
 
@@ -30,9 +31,12 @@ def small_config(g_min=0.5e-6):
 
 def test_scale_chain_reference_value():
     cfg = small_config()
-    # v_unit * g_lsb * t_int / c_int with g_lsb = (20 - 0.5) uS / 15
+    # v_unit * g_lsb * t_int / (c_int * V_MID) with g_lsb = (20 - 0.5) uS / 15
     assert cfg.device.g_lsb == pytest.approx(1.3e-6, rel=1e-12)
     assert scale_chain(cfg) == pytest.approx(0.1235, rel=1e-12)
+    # the x value of one dot-product unit: that many units' current reads x = 1
+    i_unit = V_UNIT[cfg.fmt] * cfg.device.g_lsb
+    assert adc_x(i_unit / scale_chain(cfg), cfg.adc) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_scale_chain_linear_in_v_unit():
@@ -61,17 +65,17 @@ def test_single_active_row_matches_explicit_chain():
     cfg = small_config(g_min=0.0)
     w = np.array([[0.0], [1.0], [0.0], [0.0]])
     weights = program_weights(w, cfg.device)
-    code = FpCode.from_bits(0b1011110)  # 7.75
+    code = 0b1011110  # 7.75
     bits = np.zeros((4, 1), dtype=np.uint8)
-    bits[1, 0] = code.to_bits()
+    bits[1, 0] = code
 
-    volts = V_UNIT[cfg.fmt] * decode(code)
+    volts = V_UNIT[cfg.fmt] * decode(code, cfg.fmt)
     current = (np.array([0.0, volts, 0.0, 0.0]).T @ weights.g_pos)[0]
     oracle = convert_analytic(float(current), cfg.adc, cfg.fmt)
-    expected_dot = decode(oracle.code) * V_MID / scale_chain(cfg)
+    expected_dot = decode(oracle.code, cfg.fmt) / scale_chain(cfg)
 
     res = macro_mac(bits, weights, cfg)
-    assert res.pos_bits[0, 0] == oracle.code.to_bits()
+    assert res.pos_bits[0, 0] == oracle.code
     assert res.digital_values[0, 0] == pytest.approx(expected_dot, rel=1e-12)
     # the re-quantized value is within one mantissa step of the raw product
     raw_dot = 7.75 * 15  # decode * level
@@ -99,8 +103,8 @@ def test_random_macro_against_analytic_oracle():
             i_neg = float(volts @ weights.g_neg[:, j])
             op = convert_analytic(i_pos, cfg.adc, cfg.fmt)
             on = convert_analytic(i_neg, cfg.adc, cfg.fmt)
-            assert res.pos_bits[0, j] == op.code.to_bits()
-            assert res.neg_bits[0, j] == on.code.to_bits()
+            assert res.pos_bits[0, j] == op.code
+            assert res.neg_bits[0, j] == on.code
             assert res.saturated[0, j] == (op.saturated or on.saturated)
             assert res.underflow[0, j] == (op.underflow and on.underflow)
 
@@ -125,12 +129,20 @@ def test_ideal_reference_matches_triple_loop():
     for j in range(8):
         for i in range(8):
             naive[j] += dec[i] * levels[i, j]
-    np.testing.assert_allclose(ideal_reference(dec, levels), naive, rtol=1e-12)
+    np.testing.assert_allclose(ideal_reference(dec[:, None], levels), naive[None, :], rtol=1e-12)
+
+
+def test_ideal_reference_takes_a_batch():
+    # one input form, as macro_mac: a single vector is no (rows, n) batch
+    levels = np.ones((8, 2))
+    for bad in (np.ones(8), np.float64(1.0), np.ones((8, 1, 1))):
+        with pytest.raises(ContractError, match=r"\(rows, n\) batch"):
+            ideal_reference(bad, levels)
 
 
 def test_ideal_reference_linear():
     rng = np.random.default_rng(5)
-    a, b = rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)
+    a, b = rng.uniform(0, 1, (6, 1)), rng.uniform(0, 1, (6, 1))
     levels = rng.integers(-15, 16, (6, 3)).astype(float)
     lhs = ideal_reference(a + 2 * b, levels)
     rhs = ideal_reference(a, levels) + 2 * ideal_reference(b, levels)
@@ -241,6 +253,25 @@ def test_non_finite_config_field_rejected(cls, name, bad):
         cls(**{name: bad})
 
 
+@pytest.mark.parametrize("cls, name", CONFIG_FLOATS)
+@pytest.mark.parametrize("bad", [None, "x", True], ids=repr)
+def test_config_field_of_wrong_type_rejected(cls, name, bad):
+    # a non-number fails the field's own check, not a comparison with a
+    # TypeError; a bool is no physical quantity
+    with pytest.raises(ContractError, match=name):
+        cls(**{name: bad})
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("fmt", "E2M5"), ("fmt", None), ("adc", None), ("adc", DeviceModel()),
+    ("device", None), ("device", AdcConfig()),
+], ids=repr)
+def test_macro_config_parts_must_have_their_types(name, bad):
+    # at construction, not later in programming or in a conversion
+    with pytest.raises(ContractError, match=f"{name} must be a"):
+        MacroConfig(**{name: bad})
+
+
 def unblocked_macro_mac(bits, weights, cfg, signs, readout):
     """The macro chain from public stages on the whole batch, no blocks."""
     volts = dac_convert_bits(bits, cfg.fmt)
@@ -259,7 +290,7 @@ def unblocked_macro_mac(bits, weights, cfg, signs, readout):
             codes, under, sat, _ = int8_baseline_convert(currents, cfg.adc)
             out.append((codes, codes * INT8_LSB, under, sat))
     (pb, xp, up, sp), (nb, xn, un, sn) = out
-    digital = (xp - xn) * (V_MID / scale_chain(cfg))
+    digital = (xp - xn) * (1.0 / scale_chain(cfg))
     return pb, nb, digital, up & un, sp | sn
 
 

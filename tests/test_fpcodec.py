@@ -12,11 +12,9 @@ from fpcim.errors import ContractError
 from fpcim.fpcodec import (
     E2M5,
     E3M4,
-    FpCode,
     all_values,
     decode,
     decode_bits,
-    encode,
     encode_values,
     quantize_tensor,
 )
@@ -43,17 +41,19 @@ def nearest_oracle(x, fmt):
 # ---------------------------------------------------------------- decode
 
 def test_decode_known_pattern():
-    code = FpCode.from_bits(0b1011110, E2M5)
-    assert code.exponent == 2 and code.mantissa == 30
-    assert decode(code) == 7.75
+    # exponent 2, mantissa 30 in E2M5; exponent 5, mantissa 14 in E3M4
+    assert decode(0b1011110, E2M5) == 7.75
+    assert decode(0b1011110, E3M4) == 60.0
 
 
 def test_decode_zero_code():
-    assert decode(FpCode(0, 0, E2M5)) == 0.0
+    for fmt in FORMATS:
+        assert decode(0, fmt) == 0.0
 
 
 def test_decode_top_code():
-    assert decode(FpCode.from_bits(0b1111111, E2M5)) == 15.75
+    assert decode(0b1111111, E2M5) == 15.75
+    assert decode(0b1111111, E3M4) == 248.0
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
@@ -131,40 +131,37 @@ def test_all_values_table_is_read_only():
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_round_trip_exhaustive(fmt):
-    for bits in range(128):
-        res = encode(decode(FpCode.from_bits(bits, fmt)), fmt)
-        assert res.code.to_bits() == bits, bits
-        assert not res.overflow and not res.underflow
+    bits, under, over = encode_values(np.array([decode(b, fmt) for b in range(128)]), fmt)
+    assert bits.tolist() == list(range(128))
+    assert not under.any() and not over.any()
 
 
 def test_encode_exact_value():
-    res = encode(7.75, E2M5)
-    assert res.code.to_bits() == 0b1011110
-    assert not res.underflow and not res.overflow
+    bits, under, over = encode_values(np.array([7.75]), E2M5)
+    assert bits.tolist() == [0b1011110]
+    assert not under[0] and not over[0]
 
 
 def test_encode_adc_scenario_value():
     # 5.111 is the analytic converter input of the transient scenario;
     # nearest representable is 5.125 = (1 + 9/32) * 4.
     assert nearest_oracle(5.111, E2M5) == (2 << 5) | 9
-    res = encode(5.111, E2M5)
-    assert (res.code.exponent, res.code.mantissa) == (2, 9)
-    assert decode(res.code) == 5.125
+    bits, _, _ = encode_values(np.array([5.111]), E2M5)
+    assert bits.tolist() == [(2 << 5) | 9]
+    assert decode(bits[0], E2M5) == 5.125
 
 
 def test_encode_overflow_clamps():
-    res = encode(16.2, E2M5)
-    assert res.code.to_bits() == 0b1111111
-    assert res.overflow and not res.underflow
+    bits, under, over = encode_values(np.array([16.2]), E2M5)
+    assert bits.tolist() == [0b1111111]
+    assert over[0] and not under[0]
 
 
 def test_encode_small_values_flush_to_zero():
-    for v in (1e-6, 0.1, 0.499):
-        res = encode(v, E2M5)
-        assert res.code.is_zero and res.underflow
-    # above the zero/min-code midpoint the nearest code is non-zero
-    res = encode(0.6, E2M5)
-    assert res.code.to_bits() == 1 and not res.underflow
+    # above the zero/min-code midpoint (0.515625) the nearest code is non-zero
+    bits, under, _ = encode_values(np.array([1e-6, 0.1, 0.499, 0.6]), E2M5)
+    assert bits.tolist() == [0, 0, 0, 1]
+    assert under.tolist() == [True, True, True, False]
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
@@ -180,20 +177,17 @@ def test_exact_midpoints_round_to_even_mantissa(fmt):
     edges = [(e << fmt.mantissa_bits) - 1 for e in range(1, fmt.exp_max + 1)]
     for b in edges:
         assert bits[b] == b + 1 and (bits[b] & (fmt.mant_levels - 1)) == 0
-    assert encode(mids[0], fmt).code.is_zero
 
 
 def test_encode_tie_goes_to_even_mantissa():
-    # 1 + 1.5/32 lies halfway between mantissas 1 and 2
-    res = encode(1 + 1.5 / 32, E2M5)
-    assert (res.code.exponent, res.code.mantissa) == (0, 2)
-    res = encode(1 + 2.5 / 32, E2M5)
-    assert (res.code.exponent, res.code.mantissa) == (0, 2)
+    # 1 + 1.5/32 lies halfway between mantissas 1 and 2, 1 + 2.5/32 between 2 and 3
+    bits, _, _ = encode_values(np.array([1 + 1.5 / 32, 1 + 2.5 / 32]), E2M5)
+    assert bits.tolist() == [2, 2]
 
 
 def test_encode_rejects_negative():
     with pytest.raises(ContractError):
-        encode(-1.0, E2M5)
+        encode_values(np.array([-1.0]), E2M5)
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
@@ -228,23 +222,24 @@ def test_relative_error_half_ulp():
 def test_sacrificed_unit_value():
     # 1.0 itself is not representable: nearest code is 1 + 2^-5, one full
     # mantissa step away (the price of the reserved zero code)
-    res = encode(1.0, E2M5)
-    assert decode(res.code) == 1.03125
-    assert abs(1.0 - decode(res.code)) == 0.03125
+    bits, _, _ = encode_values(np.array([1.0]), E2M5)
+    assert decode(bits[0], E2M5) == 1.03125
+    assert abs(1.0 - decode(bits[0], E2M5)) == 0.03125
 
 
 @settings(max_examples=200, derandomize=True)
 @given(st.integers(0, 127), st.sampled_from(FORMATS))
 def test_round_trip_property(bits, fmt):
-    v = decode(FpCode.from_bits(bits, fmt))
-    assert encode(v, fmt).code.to_bits() == bits
+    got, _, _ = encode_values(np.array([decode(bits, fmt)]), fmt)
+    assert got.tolist() == [bits]
 
 
 @settings(max_examples=200, derandomize=True)
 @given(st.floats(0, 20), st.floats(0, 20))
 def test_encode_monotone_property(a, b):
-    lo, hi = sorted((a, b))
-    assert decode(encode(lo, E2M5).code) <= decode(encode(hi, E2M5).code)
+    bits, _, _ = encode_values(np.array(sorted((a, b))), E2M5)
+    lo, hi = decode_bits(bits, E2M5)
+    assert lo <= hi
 
 
 def zero_slot_reference(x, fmt):
@@ -343,6 +338,8 @@ def test_quantize_blocks_match_whole_tensor_encode(fmt):
     ([0.5, -2.0, 3.0], np.inf),
     ([0.5, -2.0, 3.0], 1e308),  # finite, but 3 * 1e308 is not
     ([5e-324, 0.0], None),  # the derived scale 15.75 / 5e-324 is inf
+    ([0.5, -2.0, 3.0], "1"),
+    ([0.5, -2.0, 3.0], True),
 ])
 def test_quantize_bad_scale_names_the_scale(values, scale):
     with warnings.catch_warnings():
@@ -394,27 +391,25 @@ def test_quantizer_mse_against_bruteforce_oracle():
 # ---------------------------------------------------------------- codes
 
 def test_code_bit_layout():
-    # exponent in the high bits of the 7: [e..e m..m]
-    code = FpCode(2, 30, E2M5)
-    assert code.to_bits() == 0b1011110
-    assert FpCode.from_bits(0b1011110, E2M5) == code
-    code34 = FpCode(5, 9, E3M4)
-    assert code34.to_bits() == (5 << 4) | 9
+    # a code is the pattern (e << M) | m: exponent in the high bits of the 7
+    assert decode((2 << 5) | 30, E2M5) == (1 + 30 / 32) * 2**2
+    assert decode((5 << 4) | 9, E3M4) == (1 + 9 / 16) * 2**5
+    for fmt in FORMATS:
+        for bits in range(128):
+            e, m = bits >> fmt.mantissa_bits, bits & (fmt.mant_levels - 1)
+            assert decode(bits, fmt) == (0.0 if bits == 0 else (1 + m / fmt.mant_levels) * 2**e)
 
 
 def test_code_validation():
-    with pytest.raises(ContractError):
-        FpCode(4, 0, E2M5)
-    with pytest.raises(ContractError):
-        FpCode(0, 32, E2M5)
-    for bits in (0b10111100, 1.5):
-        with pytest.raises(ContractError):
-            FpCode.from_bits(bits, E2M5)
-    assert FpCode(np.int64(2), np.uint8(30), E2M5).to_bits() == 0b1011110
+    for bits in (0b10111100, 128, -1):
+        with pytest.raises(ContractError, match="7-bit"):
+            decode(bits, E2M5)
+    assert decode(np.int64(0b1011110), E2M5) == 7.75
+    assert decode(np.uint8(0b1011110), E2M5) == 7.75
 
 
-@pytest.mark.parametrize("fields", [(1.5, 2), (2, 3.0), (np.float64(1.0), 0), ("1", 0), (None, 0)],
+@pytest.mark.parametrize("bits", [1.5, 3.0, np.float64(1.0), "1", None, True, np.bool_(True)],
                          ids=repr)
-def test_code_fields_must_be_integers(fields):
-    with pytest.raises(ContractError, match="integers"):
-        FpCode(*fields, E2M5)
+def test_decode_code_must_be_an_integer(bits):
+    with pytest.raises(ContractError, match="7-bit integer"):
+        decode(bits, E2M5)

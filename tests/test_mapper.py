@@ -364,7 +364,7 @@ def test_build_rejects_non_finite_weights(bad):
         MacroBank.build(map_matrix(*w.shape), w, cfg)
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf, "1", True])
 def test_build_rejects_bad_weight_scale(scale):
     cfg = MacroConfig(device=ideal_device())
     plan = map_matrix(4, 2)
@@ -373,7 +373,7 @@ def test_build_rejects_bad_weight_scale(scale):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
-@pytest.mark.parametrize("seed", [-1, 1.5, None, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("seed", [-1, 1.5, None, np.float64(2.0), True], ids=repr)
 def test_build_seed_must_be_a_non_negative_integer(seed, sigma):
     cfg = MacroConfig(device=DeviceModel(sigma_rel=sigma))
     plan = map_matrix(MAX_ROWS + 4, 2)
@@ -396,8 +396,11 @@ def test_build_seed_must_be_a_non_negative_integer(seed, sigma):
     lambda: map_matrix(2.5, 3),
     lambda: map_matrix(2, np.float64(3)),
     lambda: map_matrix("2", 3),
+    lambda: LayerSpec.fc(True, 3),
+    lambda: LayerSpec.conv(4, 3, 8, stride=True),
+    lambda: map_matrix(True, 2),
 ], ids=["fc_in", "fc_out", "kernel", "stride", "padding", "numpy_float", "matrix_rows",
-        "matrix_cols", "matrix_str"])
+        "matrix_cols", "matrix_str", "fc_bool", "stride_bool", "matrix_bool"])
 def test_layer_dimensions_must_be_integers(make):
     with pytest.raises(ContractError, match="integer"):
         make()

@@ -1,6 +1,7 @@
 """Every entry point, data file and exported name the package declares exists."""
 
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -37,3 +38,28 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def public_functions(mod):
+    """(name, function) for each callable of ``__all__`` and each public method of its classes."""
+    for name in getattr(mod, "__all__", ()):
+        obj = getattr(mod, name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                bound = isinstance(member, (classmethod, staticmethod))
+                if (inspect.isfunction(member) or bound) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+        elif callable(obj):
+            yield name, obj
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_defaults_the_format(module):
+    # a 7-bit pattern does not say which format it is: a defaulted fmt would
+    # read E3M4 codes as E2M5 without an error
+    defaulted = []
+    for name, fn in public_functions(importlib.import_module(module)):
+        fmt = inspect.signature(fn).parameters.get("fmt")
+        if fmt is not None and fmt.default is not inspect.Parameter.empty:
+            defaulted.append(name)
+    assert not defaulted, f"{module}: fmt has a default in {defaulted}"

@@ -66,7 +66,7 @@ def test_total_comparison_rows_and_ranking():
         assert r.blocks.total == pytest.approx(r.total_power, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf, None, "1", True])
 @pytest.mark.parametrize("block", ["dac", "array", "adc", "digital"])
 def test_block_power_must_be_finite_and_non_negative(block, bad):
     powers = dict(dac=0.0, array=0.0, adc=0.0, digital=0.0)

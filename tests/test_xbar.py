@@ -57,7 +57,7 @@ def test_weight_levels_integers():
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
-@pytest.mark.parametrize("seed", [-1, 1.5, None, "3", np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "3", np.float64(2.0), True], ids=repr)
 def test_program_seed_must_be_a_non_negative_integer(seed, sigma):
     # at every sigma_rel, not only where a draw would reject the seed itself
     model = DeviceModel(sigma_rel=sigma)
