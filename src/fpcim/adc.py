@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ContractError, is_real
-from .fpcodec import CODE_BITS, E2M5, FpFormat, all_values
+from .fpcodec import CODE_BITS, E2M5, FpFormat, all_values, check_format
 
 __all__ = [
     "AdcConfig",
@@ -92,7 +92,7 @@ TOP_CODE = (1 << CODE_BITS) - 1
 
 def x_sat(fmt: FpFormat) -> float:
     """Smallest saturating x, 2^(exp_max+1): ``floor(log2 x) > exp_max`` for finite x."""
-    return 2.0 ** (fmt.exp_max + 1)
+    return 2.0 ** (check_format(fmt).exp_max + 1)
 
 
 # The INT8 baseline quantizes x uniformly over [0, 16), the whole E2M5
@@ -121,7 +121,7 @@ class AdcConfig:
 
     def cap_bank(self, fmt: FpFormat) -> tuple[float, ...]:
         """[C, C, 2C, 4C, ...]: one doubling capacitor per exponent step of ``fmt``."""
-        return (self.c_int,) + tuple(self.c_int * 2.0**k for k in range(fmt.exp_max))
+        return (self.c_int,) + tuple(self.c_int * 2.0**k for k in range(check_format(fmt).exp_max))
 
 
 def adc_x(i_mac, config: AdcConfig) -> np.ndarray:
@@ -170,6 +170,7 @@ def single_slope(v_m: float, fmt: FpFormat) -> int:
     step above V_MID and the count is read when it meets or exceeds v_m,
     i.e. ceiling rounding clamped to the top step.
     """
+    check_format(fmt)
     if not (V_MID <= v_m < V_TH):
         raise ContractError(f"sampled voltage {v_m} outside [{V_MID}, {V_TH})")
     step = (V_TH - V_MID) / fmt.mant_levels
@@ -189,6 +190,7 @@ def convert_analytic(i_mac: float, config: AdcConfig, fmt: FpFormat) -> AdcResul
     subtraction and a power-of-two product), not from the sampled voltage
     ``v_m = V_MID * x / 2^e``.
     """
+    check_format(fmt)
     x = float(adc_x(i_mac, config))
     if x < 1.0:
         return AdcResult(0, v_m=x * V_MID, underflow=True)

@@ -7,11 +7,14 @@ currents of its column pairs: the pair's shape, at most ``xbar.MAX_ROWS``
 x ``xbar.MAX_COLS`` (576x256), is the tile's geometry, and ``MacroConfig``
 holds only what the tiles of a bank share.  Both columns of a pair go
 through the same converter, the adaptive FP-ADC (``readout="adc"``) or the
-fixed-range INT8 baseline (``"int8"``).  Both return ``(codes,
-underflow, saturated, x)``, with x the value each code reads as.  The two
-x values are subtracted digitally in double precision, so the converter
-never sees a signed value.  ``"identity"`` bypasses the analog chain and
-returns the exact dot product.
+fixed-range INT8 baseline (``"int8"``).  ``converter(readout, fmt)`` is
+the one place that reads a readout's name: it gives the converter's
+``perfmodel`` key, its full scale (the smallest x that saturates) and its
+conversion, which returns ``(codes, underflow, saturated, x)``, with x the
+value each code reads as.  The two x values are subtracted digitally in
+double precision, so the converter never sees a signed value.
+``"identity"`` bypasses the analog chain and returns the exact dot
+product; it has no converter.
 
 The digital result is reported in dimensionless dot-product units
 ``sum_i decode(input_i) * level_i`` (``level`` the signed integer
@@ -31,27 +34,27 @@ BLAS sums, and so the currents' last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fpcodec
-from .adc import LATENCY_NS, V_MID, AdcConfig, convert_analytic_array, int8_baseline_convert
+from .adc import (INT8_FULL_SCALE, LATENCY_NS, V_MID, AdcConfig, convert_analytic_array,
+                  int8_baseline_convert, x_sat)
 from .dac import V_UNIT, dac_convert_bits
 from .errors import ContractError
-from .fpcodec import E2M5, FpFormat
+from .fpcodec import E2M5, FpFormat, check_format
 from .xbar import ConductancePair, DeviceModel
 
 __all__ = [
     "MacroConfig",
     "MacroResult",
+    "converter",
     "scale_chain",
     "macro_mac",
     "ideal_reference",
     "batch_inputs",
-    "READOUTS",
 ]
-
-READOUTS = ("adc", "identity", "int8")
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,9 @@ class MacroConfig:
             v = getattr(self, name)
             if not isinstance(v, kind):
                 raise ContractError(f"{name} must be a {kind.__name__}, got {v!r}")
-        if self.latency <= self.adc.t_int:
+        # the FP window is the shorter of the two readouts': a t_int inside it fits both
+        if LATENCY_NS[self.fmt.name] / 1e9 <= self.adc.t_int:
             raise ContractError("macro latency must exceed the ADC integration window")
-
-    @property
-    def latency(self) -> float:
-        """Seconds per macro cycle: the format's conversion time."""
-        return LATENCY_NS[self.fmt.name] / 1e9
 
     @classmethod
     def for_format(cls, fmt: FpFormat, device: DeviceModel | None = None) -> "MacroConfig":
@@ -92,6 +91,30 @@ class MacroResult:
     digital_values: np.ndarray
     underflow: np.ndarray
     saturated: np.ndarray
+
+
+class Converter(NamedTuple):
+    """One column converter, as ``converter`` names it."""
+
+    label: str  # its ``LATENCY_NS`` and ``perfmodel.DEFAULT_PARAMS`` key
+    full_scale: float  # the smallest x that saturates
+    convert: Callable  # (currents, AdcConfig) -> (codes, underflow, saturated, x)
+
+
+def converter(readout: str, fmt: FpFormat) -> Converter:
+    """The column converter of ``readout``: ``"adc"``, the adaptive FP-ADC
+    of ``fmt``, or ``"int8"``, the fixed-range baseline.
+
+    The FP conversion looks ``convert_analytic_array`` up in this module
+    at call time, so a wrapper installed here sees every conversion.
+    """
+    check_format(fmt)
+    if readout == "adc":
+        return Converter(fmt.name, x_sat(fmt),
+                         lambda currents, adc: convert_analytic_array(currents, adc, fmt))
+    if readout == "int8":
+        return Converter("INT8", INT8_FULL_SCALE, int8_baseline_convert)
+    raise ContractError(f"unknown readout {readout!r} for a converter: 'adc' or 'int8'")
 
 
 def scale_chain(config: MacroConfig) -> float:
@@ -127,17 +150,15 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     per row of ``weights`` and one column per input vector, and ``signs``,
     if given, a boolean array of the same shape.  Rows with a set sign bit
     contribute through the complementary column of each differential pair
-    (two-phase input scheme).  ``readout`` selects the column converter:
-    the adaptive FP ADC, the fixed-range INT8 baseline, or an identity
-    bypass that returns the digital dot product directly.
+    (two-phase input scheme).  ``readout`` selects the column converter
+    (``converter``): the adaptive FP ADC, the fixed-range INT8 baseline,
+    or an identity bypass that returns the digital dot product directly.
 
     The DAC and the 2 (unsigned) or 4 (signed) matmuls cover the whole
     batch; the per-column-result chain after them runs over slices of
     ``max(1, fpcodec._BLOCK // cols)`` input vectors, so no bit depends on
     the block.
     """
-    if readout not in READOUTS:
-        raise ContractError(f"unknown readout {readout!r}")
     bits, signs = batch_inputs(input_bits, signs)
     if bits.shape[0] != weights.shape[0]:
         raise ContractError(f"{bits.shape[0]} input rows for a {weights.shape[0]}-row macro")
@@ -150,6 +171,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
         zeros = np.zeros(digital.shape, dtype=bool)
         return MacroResult(None, None, digital, zeros, zeros)
 
+    convert = converter(readout, config.fmt).convert
     i_pos, i_neg = _column_currents(bits, signs, weights, config)
     n, cols = i_pos.shape
     out = MacroResult(np.empty((n, cols), np.uint8), np.empty((n, cols), np.uint8),
@@ -158,8 +180,8 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     step = max(1, fpcodec._BLOCK // cols)
     for lo in range(0, n, step):
         vecs = slice(lo, lo + step)
-        out.pos_bits[vecs], under_p, sat_p, x_pos = _convert(readout, i_pos[vecs], config)
-        out.neg_bits[vecs], under_n, sat_n, x_neg = _convert(readout, i_neg[vecs], config)
+        out.pos_bits[vecs], under_p, sat_p, x_pos = convert(i_pos[vecs], config.adc)
+        out.neg_bits[vecs], under_n, sat_n, x_neg = convert(i_neg[vecs], config.adc)
         digital = np.subtract(x_pos, x_neg, out=out.digital_values[vecs])
         digital *= gain
         np.logical_and(under_p, under_n, out=out.underflow[vecs])
@@ -183,13 +205,6 @@ def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig)
     i_neg = volts.T @ weights.g_neg
     i_neg += v_rev.T @ weights.g_pos
     return i_pos, i_neg
-
-
-def _convert(readout: str, currents: np.ndarray, config: MacroConfig):
-    """Convert one column of each pair: (codes, underflow, saturated, their x values)."""
-    if readout == "adc":
-        return convert_analytic_array(currents, config.adc, config.fmt)
-    return int8_baseline_convert(currents, config.adc)
 
 
 def ideal_reference(decoded_inputs: np.ndarray, weight_levels: np.ndarray) -> np.ndarray:

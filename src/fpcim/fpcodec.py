@@ -10,10 +10,11 @@ exact 0 (flush-to-zero; the format has no subnormals).  Signs are carried
 out of band as a separate bit array; the 7-bit code itself is unsigned.
 
 A pattern carries no format: the same bits read 7.75 in E2M5 and 60.0 in
-E3M4, so every function that makes or reads codes takes the ``FpFormat``
-and none defaults it.  ``decode`` is the scalar closed-form reference;
-``decode_bits``, ``encode_values`` and ``quantize_tensor`` work on arrays
-of patterns.
+E3M4, so every function that makes or reads codes takes the ``FpFormat``,
+none defaults it, and each rejects anything else, a format's name
+included, with ``ContractError`` (``check_format``).  ``decode`` is the
+scalar closed-form reference; ``decode_bits``, ``encode_values`` and
+``quantize_tensor`` work on arrays of patterns.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "decode_bits",
     "encode_values",
     "all_values",
+    "check_format",
     "quantize_tensor",
 ]
 
@@ -85,8 +87,16 @@ E2M5 = FpFormat(2, 5)
 E3M4 = FpFormat(3, 4)
 
 
+def check_format(fmt) -> FpFormat:
+    """``fmt`` itself if it is an ``FpFormat``: a name such as ``"E2M5"`` raises."""
+    if not isinstance(fmt, FpFormat):
+        raise ContractError(f"fmt must be an FpFormat, got {fmt!r}")
+    return fmt
+
+
 def decode(bits: int, fmt: FpFormat) -> float:
     """Decoded value of one 7-bit code: 0 for the all-zeros code, else (1+m/2^M)*2^e."""
+    check_format(fmt)
     if not (is_int(bits) and 0 <= bits < (1 << CODE_BITS)):
         raise ContractError(f"code bits {bits!r} are not a 7-bit integer")
     if bits == 0:
@@ -95,9 +105,13 @@ def decode(bits: int, fmt: FpFormat) -> float:
     return (1.0 + m / fmt.mant_levels) * 2.0**e
 
 
-@functools.cache
 def all_values(fmt: FpFormat) -> np.ndarray:
     """All 128 decoded values in code-bit order (index = bit pattern); read-only."""
+    return _values_table(check_format(fmt))
+
+
+@functools.cache
+def _values_table(fmt: FpFormat) -> np.ndarray:
     e = np.arange(1 << CODE_BITS) >> fmt.mantissa_bits
     m = np.arange(1 << CODE_BITS) & (fmt.mant_levels - 1)
     vals = (1.0 + m / fmt.mant_levels) * np.exp2(e)
@@ -120,6 +134,7 @@ def encode_values(values: np.ndarray, fmt: FpFormat):
 
     Returns (code_bits uint8, underflow mask, overflow mask).
     """
+    check_format(fmt)
     x = np.asarray(values, dtype=float)
     if x.size and not (np.min(x) >= 0 and np.max(x) < np.inf):  # min >= 0 also rejects NaN
         raise ContractError("encode requires finite non-negative values")
@@ -167,12 +182,12 @@ def decode_bits(bits: np.ndarray, fmt: FpFormat) -> np.ndarray:
     and on a whole uint8 batch that copy is 8x the codes, fresh pages
     every call.
     """
+    table = all_values(fmt)
     b = np.asarray(bits)
     if not np.issubdtype(b.dtype, np.integer):
         raise ContractError(f"codes must have an integer dtype, not {b.dtype}")
     if b.size and (b.min() < 0 or b.max() >= (1 << CODE_BITS)):
         raise ContractError("code bits out of 7-bit range")
-    table = all_values(fmt)
     out = np.empty(b.shape)
     flat, flat_out = b.reshape(-1), out.reshape(-1)
     for lo in range(0, flat.size, _BLOCK):
@@ -200,6 +215,7 @@ def quantize_tensor(values: np.ndarray, fmt: FpFormat, scale: float | None = Non
     the codes-only encoder, with no per-block checks and no flags;
     encoding is elementwise, so the codes do not depend on the block size.
     """
+    check_format(fmt)
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ContractError("cannot quantize an empty tensor")

@@ -10,18 +10,24 @@ programmed ``ConductancePair``; every tile of a bank shares one
 digitally, so each column block is programmed with one weight scale and its
 sum is scaled back to real weight units once, after the raw digital
 accumulation.
+
+A bank's convertible range is its one ``AdcConfig.c_int``: ``calibrate``
+returns a bank with the same programmed tiles and the ``c_int`` that puts
+a calibration batch's largest column x just under the readout's full
+scale.  The readout's results stay in the same units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cimmacro import MacroConfig, batch_inputs, macro_mac
+from .adc import adc_x
+from .cimmacro import MacroConfig, _column_currents, batch_inputs, converter, macro_mac
 from .errors import ContractError, is_int, is_real
 from .xbar import MAX_COLS, MAX_ROWS, ConductancePair, program_weights
 
@@ -37,6 +43,7 @@ __all__ = [
     "MacroBank",
     "PlanResult",
     "execute_plan",
+    "calibrate",
 ]
 
 
@@ -207,6 +214,8 @@ class MacroBank:
         scale must be finite and positive.  ``seed`` must be a non-negative
         integer; tile ``t`` is programmed with seed ``seed + t.id``.
         """
+        if not isinstance(config, MacroConfig):
+            raise ContractError(f"config must be a MacroConfig, got {config!r}")
         if weight_scale is not None and not (is_real(weight_scale) and 0 < weight_scale < np.inf):
             raise ContractError(f"weight_scale must be finite and positive, got {weight_scale}")
         if not (is_int(seed) and seed >= 0):
@@ -262,12 +271,7 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
     non-negative x values, and the ``identity`` matmul accumulates from
     +0.0.
     """
-    if bank.plan != plan:
-        raise ContractError("bank was programmed for another plan")
-    bits, signs = batch_inputs(input_bits, signs)
-    if bits.shape[0] != plan.rows:
-        raise ContractError(f"plan expects {plan.rows} input rows, got {bits.shape[0]}")
-
+    bits, signs = _plan_inputs(plan, bank, input_bits, signs)
     n = bits.shape[1]
     out = np.empty((n, plan.cols))
     under = np.empty((n, plan.cols), dtype=bool)
@@ -288,3 +292,48 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
             sat[:, lo:hi] |= res.saturated
         np.multiply(raw, scale, out=out[:, lo:hi])
     return PlanResult(out, under, sat)
+
+
+def calibrate(plan: TilePlan, bank: MacroBank, input_bits: np.ndarray,
+              signs: np.ndarray | None = None, readout: str = "adc") -> MacroBank:
+    """A bank for ``plan`` whose ``c_int`` puts the calibration batch just under full scale.
+
+    The returned bank shares ``bank``'s programmed tiles; only its
+    ``AdcConfig.c_int`` changes, to ``c_int * x_max / full_scale``, with
+    ``x_max`` the largest column x of the batch (``input_bits`` and
+    ``signs`` as for ``execute_plan``) over both columns of every pair and
+    every tile, and ``full_scale`` the readout's (``converter``).  If
+    ``x_max`` still reads at or above full scale after the division's
+    rounding, ``c_int`` steps up by one ulp at a time until it reads below.
+    ``scale_chain`` divides by ``c_int``, so the bank's results stay in the
+    same dot-product units.  The identity readout has no converter and
+    raises, and so does a batch that drives no current.
+    """
+    full = converter(readout, bank.config.fmt).full_scale
+    bits, signs = _plan_inputs(plan, bank, input_bits, signs)
+    i_max = 0.0  # x is monotone in the current: the largest current reads x_max
+    for t in plan.tiles:
+        rs = slice(t.row_start, t.row_stop)
+        for i in _column_currents(bits[rs], None if signs is None else signs[rs],
+                                  bank[t.id].pair, bank.config):
+            i_max = max(i_max, float(i.max(initial=0.0)))
+    adc = bank.config.adc
+    x_max = float(adc_x(i_max, adc))
+    if not x_max > 0:
+        raise ContractError("calibration inputs drive no current")
+    adc = replace(adc, c_int=adc.c_int * x_max / full)
+    while adc_x(i_max, adc) >= full:
+        adc = replace(adc, c_int=math.nextafter(adc.c_int, math.inf))
+    calibrated = MacroBank(plan, replace(bank.config, adc=adc))
+    calibrated.tiles = dict(bank.tiles)
+    return calibrated
+
+
+def _plan_inputs(plan: TilePlan, bank: MacroBank, input_bits, signs):
+    """``batch_inputs`` for a bank built for ``plan`` and a batch covering its rows."""
+    if bank.plan != plan:
+        raise ContractError("bank was programmed for another plan")
+    bits, signs = batch_inputs(input_bits, signs)
+    if bits.shape[0] != plan.rows:
+        raise ContractError(f"plan expects {plan.rows} input rows, got {bits.shape[0]}")
+    return bits, signs

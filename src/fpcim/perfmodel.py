@@ -63,7 +63,7 @@ class BlockPowers:
 
 def throughput_from(rows: int, cols: int, latency: float) -> float:
     """Ops per second: 2 * rows * cols per macro cycle."""
-    if not 0 < latency < math.inf:  # NaN fails too
+    if not (is_real(latency) and 0 < latency < math.inf):  # NaN fails too
         raise ContractError(f"latency must be finite and positive, got {latency!r}")
     return OPS_PER_MAC * rows * cols / latency
 
@@ -97,6 +97,8 @@ class EnergyParams:
     blocks: dict
 
     def __post_init__(self):
+        if not isinstance(self.blocks, dict):
+            raise ContractError(f"blocks must be a dict of BlockPowers, got {self.blocks!r}")
         for label, b in self.blocks.items():
             if not isinstance(b, BlockPowers):
                 raise ContractError(f"block powers for {label} must be BlockPowers")

@@ -6,21 +6,21 @@ import pytest
 
 from fpcim import fpcodec
 from fpcim.adc import (
-    INT8_FULL_SCALE,
     INT8_LSB,
+    LATENCY_NS,
     V_MID,
     AdcConfig,
     adc_x,
     convert_analytic,
     convert_analytic_array,
     int8_baseline_convert,
-    x_sat,
 )
-from fpcim.cimmacro import MacroConfig, ideal_reference, macro_mac, scale_chain
+from fpcim.cimmacro import MacroConfig, converter, ideal_reference, macro_mac, scale_chain
 from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
-from fpcim.fpcodec import E2M5, E3M4, decode, decode_bits
-from fpcim.xbar import DeviceModel, program_weights, weight_levels
+from fpcim.fpcodec import E2M5, E3M4, decode, decode_bits, quantize_tensor
+from fpcim.mapper import MacroBank, calibrate, map_matrix
+from fpcim.xbar import MAX_COLS, MAX_ROWS, DeviceModel, program_weights, weight_levels
 
 
 def small_config(g_min=0.5e-6):
@@ -107,6 +107,26 @@ def test_random_macro_against_analytic_oracle():
             assert res.neg_bits[0, j] == on.code
             assert res.saturated[0, j] == (op.saturated or on.saturated)
             assert res.underflow[0, j] == (op.underflow and on.underflow)
+
+
+@pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
+def test_calibrated_full_tile_against_analytic_oracle(fmt):
+    # a full 576-row tile, calibrated so that it does not saturate: every
+    # code equals the per-column dot product through the scalar converter
+    rng = np.random.default_rng(11)
+    plan = map_matrix(MAX_ROWS, MAX_COLS)
+    bank = MacroBank.build(plan, rng.uniform(-1, 1, (MAX_ROWS, MAX_COLS)), MacroConfig(fmt))
+    q = quantize_tensor(rng.standard_normal((MAX_ROWS, 8)), fmt)
+    cal = calibrate(plan, bank, q.codes)
+    weights, cfg = cal[0].pair, cal.config
+
+    res = macro_mac(q.codes, weights, cfg)
+    assert not res.saturated.any()
+    volts = decode_bits(q.codes, fmt) * V_UNIT[fmt]
+    for k in range(q.codes.shape[1]):
+        for j in range(MAX_COLS):
+            for g, got in ((weights.g_pos, res.pos_bits), (weights.g_neg, res.neg_bits)):
+                assert got[k, j] == convert_analytic(float(volts[:, k] @ g[:, j]), cfg.adc, fmt).code
 
 
 def test_identity_readout_equals_ideal_reference():
@@ -201,7 +221,9 @@ def test_shape_contracts():
 
 def test_e3m4_macro_config():
     cfg = MacroConfig.for_format(E3M4)
-    assert cfg.latency == pytest.approx(150e-9)
+    # the conversion time is the readout's: the INT8 baseline's in either format
+    assert LATENCY_NS[converter("adc", cfg.fmt).label] == 150
+    assert LATENCY_NS[converter("int8", E3M4).label] == LATENCY_NS[converter("int8", E2M5).label] == 500
     assert cfg.adc == AdcConfig()
     weights = program_weights(np.full((4, 2), 0.5), cfg.device)
     bits = np.full((4, 1), (3 << 4) | 2, dtype=np.uint8)
@@ -309,7 +331,7 @@ def test_blocked_chain_equals_unblocked_composition(fmt, readout, signed):
     volts = dac_convert_bits(bits, fmt)
     i_max = max(float(np.max(volts.T @ weights.g_pos)), float(np.max(volts.T @ weights.g_neg)))
     base = AdcConfig()
-    full = x_sat(fmt) if readout == "adc" else INT8_FULL_SCALE
+    full = converter(readout, fmt).full_scale
     adc = AdcConfig(c_int=i_max * base.t_int / (V_MID * 0.9 * full))
     cfg = MacroConfig(fmt, adc, device)
 

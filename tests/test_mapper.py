@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcim.cimmacro import MacroConfig, macro_mac
+from fpcim.adc import AdcConfig, adc_x
+from fpcim.cimmacro import MacroConfig, converter, macro_mac
+from fpcim.dac import dac_convert_bits
 from fpcim.errors import ContractError
-from fpcim.fpcodec import E2M5, decode_bits
+from fpcim.fpcodec import E2M5, E3M4, decode_bits, quantize_tensor
 from fpcim.mapper import (
     LayerSpec,
     MacroBank,
+    calibrate,
     conv_output_shape,
     execute_plan,
     im2col,
@@ -16,7 +19,7 @@ from fpcim.mapper import (
     map_fc,
     map_matrix,
 )
-from fpcim.xbar import MAX_ROWS, DeviceModel, weight_levels
+from fpcim.xbar import MAX_COLS, MAX_ROWS, DeviceModel, weight_levels
 
 
 def ideal_device():
@@ -372,6 +375,12 @@ def test_build_rejects_bad_weight_scale(scale):
         MacroBank.build(plan, np.ones((4, 2)), cfg, weight_scale=scale)
 
 
+@pytest.mark.parametrize("config", [None, "E2M5", AdcConfig(), DeviceModel()], ids=repr)
+def test_build_rejects_a_non_config(config):
+    with pytest.raises(ContractError, match="config must be a MacroConfig"):
+        MacroBank.build(map_matrix(4, 2), np.ones((4, 2)), config)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 @pytest.mark.parametrize("seed", [-1, 1.5, None, np.float64(2.0), True], ids=repr)
 def test_build_seed_must_be_a_non_negative_integer(seed, sigma):
@@ -446,3 +455,86 @@ def test_signs_shape_must_match_codes():
     for bad in (np.uint8(3), np.zeros(4, dtype=np.uint8), np.zeros((4, 2, 2), dtype=np.uint8)):
         with pytest.raises(ContractError, match=r"must be a \(rows, n\) batch"):
             execute_plan(plan, bad, bank)
+
+
+def gaussian_batch(rng, fmt, n, signed):
+    """Max-abs-quantized Gaussian inputs for a full tile: (codes, signs or None)."""
+    q = quantize_tensor(rng.standard_normal((MAX_ROWS, n)), fmt)
+    return q.codes, q.signs if signed else None
+
+
+# A few dB under the SQNR measured on held-out batches: 21.6-22.3 dB for the
+# E2M5 FP-ADC, 16.0-16.3 dB for E3M4 and 29.0-34.3 dB for the INT8 baseline.
+SQNR_FLOOR_DB = {"E2M5": 19.0, "E3M4": 13.5, "INT8": 26.0}
+
+
+@pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
+@pytest.mark.parametrize("readout", ["adc", "int8"])
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_calibrated_full_tile_computes_on_held_out_batches(fmt, readout, signed, sigma):
+    rng = np.random.default_rng(21)
+    plan = map_matrix(MAX_ROWS, MAX_COLS)
+    w = rng.uniform(-1, 1, (MAX_ROWS, MAX_COLS))
+    bank = MacroBank.build(plan, w, MacroConfig(fmt, device=DeviceModel(sigma_rel=sigma)), seed=3)
+    bits, signs = gaussian_batch(rng, fmt, 64, signed)
+    assert execute_plan(plan, bits, bank, signs, readout).saturated.all()  # the default c_int
+    cal = calibrate(plan, bank, bits, signs, readout)
+
+    # held-out batches of the calibration batch's size: the quantizer
+    # rescales every batch by its own max-abs, so a smaller batch reads hotter
+    saturated, err, ref = 0, 0.0, 0.0
+    for _ in range(4):
+        bits, signs = gaussian_batch(rng, fmt, 64, signed)
+        res = execute_plan(plan, bits, cal, signs, readout)
+        ideal = execute_plan(plan, bits, cal, signs, "identity").values
+        saturated += np.count_nonzero(res.saturated)
+        err += np.sum((res.values - ideal) ** 2)
+        ref += np.sum(ideal**2)
+    assert saturated < 0.01 * 4 * 64 * MAX_COLS
+    assert 10 * np.log10(ref / err) > SQNR_FLOOR_DB[converter(readout, fmt).label]
+
+
+@pytest.mark.parametrize("readout", ["adc", "int8"])
+def test_calibrate_fits_the_largest_column_x_over_every_tile(readout):
+    # 3 row tiles x 2 column tiles, signed inputs: c_int is scaled by
+    # x_max / full_scale, x_max taken over both columns of every tile
+    rng = np.random.default_rng(5)
+    rows, cols = 2 * MAX_ROWS + 40, MAX_COLS + 30
+    plan = map_matrix(rows, cols)
+    cfg = MacroConfig(E3M4)
+    bank = MacroBank.build(plan, rng.uniform(-1, 1, (rows, cols)), cfg)
+    q = quantize_tensor(rng.standard_normal((rows, 16)), E3M4)
+    cal = calibrate(plan, bank, q.codes, q.signs, readout)
+
+    assert all(cal[t.id] is bank[t.id] for t in plan.tiles)
+    assert cal.config == MacroConfig(E3M4, AdcConfig(c_int=cal.config.adc.c_int), cfg.device)
+    x_max = 0.0
+    for t in plan.tiles:
+        rs = slice(t.row_start, t.row_stop)
+        v = dac_convert_bits(q.codes[rs], E3M4)
+        v_fwd, v_rev = np.where(q.signs[rs], 0.0, v), np.where(q.signs[rs], v, 0.0)
+        g = bank[t.id].pair
+        for i in (v_fwd.T @ g.g_pos + v_rev.T @ g.g_neg, v_fwd.T @ g.g_neg + v_rev.T @ g.g_pos):
+            x_max = max(x_max, float(np.max(adc_x(i, cfg.adc))))
+    full = converter(readout, E3M4).full_scale
+    assert cal.config.adc.c_int == pytest.approx(cfg.adc.c_int * x_max / full, rel=1e-14)
+    res = execute_plan(plan, q.codes, cal, q.signs, readout)
+    assert not res.saturated.any()
+
+
+def test_calibrate_contracts():
+    plan = map_matrix(4, 2)
+    bank = MacroBank.build(plan, np.ones((4, 2)), MacroConfig(device=ideal_device()))
+    bits = np.full((4, 3), 0b0100000, dtype=np.uint8)
+    for readout in ("identity", "bogus"):
+        with pytest.raises(ContractError, match="unknown readout"):
+            calibrate(plan, bank, bits, readout=readout)
+    with pytest.raises(ContractError, match="drive no current"):
+        calibrate(plan, bank, np.zeros((4, 3), dtype=np.uint8))
+    with pytest.raises(ContractError, match="drive no current"):
+        calibrate(plan, bank, np.zeros((4, 0), dtype=np.uint8))
+    with pytest.raises(ContractError, match="another plan"):
+        calibrate(map_matrix(4, 3), bank, bits)
+    with pytest.raises(ContractError, match="expects 4 input rows"):
+        calibrate(plan, bank, bits[:3])

@@ -5,9 +5,12 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fpcim
+from fpcim import adc, cimmacro, dac, fpcodec
+from fpcim.errors import ContractError
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["fpcim"] + [f"fpcim.{m.name}" for m in pkgutil.iter_modules(fpcim.__path__)]
@@ -53,13 +56,58 @@ def public_functions(mod):
             yield name, obj
 
 
+def format_parameters(module):
+    """(name, function, its ``fmt`` parameter) for each public function of ``module`` taking one."""
+    for name, fn in public_functions(importlib.import_module(module)):
+        fmt = inspect.signature(fn).parameters.get("fmt")
+        if fmt is not None:
+            yield name, fn, fmt
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_defaults_the_format(module):
     # a 7-bit pattern does not say which format it is: a defaulted fmt would
     # read E3M4 codes as E2M5 without an error
-    defaulted = []
-    for name, fn in public_functions(importlib.import_module(module)):
-        fmt = inspect.signature(fn).parameters.get("fmt")
-        if fmt is not None and fmt.default is not inspect.Parameter.empty:
-            defaulted.append(name)
+    defaulted = [name for name, _, fmt in format_parameters(module)
+                 if fmt.default is not inspect.Parameter.empty]
     assert not defaulted, f"{module}: fmt has a default in {defaulted}"
+
+
+# One call per public function that takes a format, every argument but fmt valid.
+NON_FORMAT_CALLS = {
+    "adc.AdcConfig.cap_bank": lambda fmt: adc.AdcConfig().cap_bank(fmt),
+    # 1 uA reads x = 0.95: an underflow, which reads no format bit
+    "adc.convert_analytic": lambda fmt: adc.convert_analytic(1e-6, adc.AdcConfig(), fmt),
+    "adc.convert_analytic_array":
+        lambda fmt: adc.convert_analytic_array(np.array([1e-6]), adc.AdcConfig(), fmt),
+    "adc.simulate_transient": lambda fmt: adc.simulate_transient(1e-6, adc.AdcConfig(), fmt),
+    "adc.single_slope": lambda fmt: adc.single_slope(1.5, fmt),
+    "adc.x_sat": adc.x_sat,
+    "cimmacro.MacroConfig.for_format": cimmacro.MacroConfig.for_format,
+    "cimmacro.converter": lambda fmt: cimmacro.converter("int8", fmt),
+    "dac.dac_convert_bits": lambda fmt: dac.dac_convert_bits(np.zeros(1, np.uint8), fmt),
+    "fpcodec.all_values": fpcodec.all_values,
+    "fpcodec.check_format": fpcodec.check_format,
+    "fpcodec.decode": lambda fmt: fpcodec.decode(0, fmt),
+    "fpcodec.decode_bits": lambda fmt: fpcodec.decode_bits(np.zeros(1, np.uint8), fmt),
+    "fpcodec.encode_values": lambda fmt: fpcodec.encode_values(np.zeros(1), fmt),
+    "fpcodec.quantize_tensor": lambda fmt: fpcodec.quantize_tensor(np.ones(1), fmt),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FORMAT_CALLS))
+@pytest.mark.parametrize("bad", ["E2M5", None, [2, 5]], ids=repr)
+def test_non_format_rejected(name, bad):
+    # a format's name is no format: it fails at the boundary, not as an
+    # AttributeError inside, nor as code 0 read without a format
+    with pytest.raises(ContractError, match="fmt must be an? FpFormat"):
+        NON_FORMAT_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_format_entry_point_is_in_the_non_format_table(module):
+    # a new function taking a format cannot skip test_non_format_rejected
+    missing = [name for name, fn, _ in format_parameters(module)
+               if f"{fn.__module__}.{fn.__qualname__}".removeprefix("fpcim.")
+               not in NON_FORMAT_CALLS]
+    assert not missing, f"{module}: no non-format call for {missing}"

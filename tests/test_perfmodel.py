@@ -6,6 +6,7 @@ from fpcim.errors import ContractError
 from fpcim.perfmodel import (
     DEFAULT_PARAMS,
     BlockPowers,
+    EnergyParams,
     adc_comparison,
     throughput_from,
     total_comparison,
@@ -75,10 +76,16 @@ def test_block_power_must_be_finite_and_non_negative(block, bad):
         BlockPowers(**{**powers, block: bad})
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, None, "2e-7", True], ids=repr)
 def test_throughput_needs_finite_positive_latency(bad):
     with pytest.raises(ContractError, match="latency"):
         throughput_from(576, 256, bad)
+
+
+@pytest.mark.parametrize("bad", [None, [], {"E2M5": None}], ids=repr)
+def test_energy_params_need_a_dict_of_block_powers(bad):
+    with pytest.raises(ContractError, match="blocks must be|BlockPowers"):
+        EnergyParams(bad)
 
 
 def test_total_power_of_unknown_format_names_it():
