@@ -102,11 +102,12 @@ class Converter(NamedTuple):
 
 
 def converter(readout: str, fmt: FpFormat) -> Converter:
-    """The column converter of ``readout``: ``"adc"``, the adaptive FP-ADC
-    of ``fmt``, or ``"int8"``, the fixed-range baseline.
+    """The column converter of ``readout``, ``"adc"`` or ``"int8"``.
 
-    The FP conversion looks ``convert_analytic_array`` up in this module
-    at call time, so a wrapper installed here sees every conversion.
+    ``"adc"`` is the adaptive FP-ADC of ``fmt``, ``"int8"`` the fixed-range
+    baseline, which reads every format the same.  The FP conversion looks
+    ``convert_analytic_array`` up in this module at call time, so a
+    wrapper installed here sees every conversion.
     """
     check_format(fmt)
     if readout == "adc":
