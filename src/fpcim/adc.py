@@ -65,19 +65,12 @@ __all__ = [
     "simulate_transient",
     "int8_baseline_convert",
     "INT8_LSB",
-    "LATENCY_NS",
     "V_TH",
     "V_MID",
     "V_RESET",
     "TOP_CODE",
     "x_sat",
 ]
-
-# Full conversion windows in integer nanoseconds, so published ratios are
-# exact: 100 ns integrate + 100 ns ramp for the adaptive E2M5 path; the
-# fixed-range INT8 baseline needs a 4x longer ramp to keep its LSB,
-# 100 ns + 400 ns.
-LATENCY_NS = {"E2M5": 200, "E3M4": 150, "INT8": 500}
 
 # Integrator levels (volts): the comparator threshold, the 0 V reset the
 # exponent segmentation needs, and the level every charge share lands on,
@@ -297,7 +290,7 @@ def int8_baseline_convert(i_mac, config: AdcConfig):
 
     Uniform 256-step quantization of x over [0, 16) with the same ceiling
     counter semantics; the fixed range costs a 4x longer ramp on the
-    100 ns readout (``LATENCY_NS``).  Returns (codes uint8, underflow,
+    100 ns readout (``perfmodel.LATENCY_NS``).  Returns (codes uint8, underflow,
     saturated, x value of each code) arrays shaped like ``i_mac``, in
     ``convert_analytic_array``'s order: the zero code underflows, x at or
     beyond the full scale (+inf included) saturates, and a code's x value

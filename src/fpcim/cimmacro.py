@@ -39,11 +39,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fpcodec
-from .adc import (INT8_FULL_SCALE, LATENCY_NS, V_MID, AdcConfig, convert_analytic_array,
+from .adc import (INT8_FULL_SCALE, V_MID, AdcConfig, convert_analytic_array,
                   int8_baseline_convert, x_sat)
 from .dac import V_UNIT, dac_convert_bits
 from .errors import ContractError
 from .fpcodec import E2M5, FpFormat, check_format
+from .perfmodel import LATENCY_NS
 from .xbar import ConductancePair, DeviceModel
 
 __all__ = [

@@ -13,8 +13,9 @@ A pattern carries no format: the same bits read 7.75 in E2M5 and 60.0 in
 E3M4, so every function that makes or reads codes takes the ``FpFormat``,
 none defaults it, and each rejects anything else, a format's name
 included, with ``ContractError`` (``check_format``).  ``decode`` is the
-scalar closed-form reference; ``decode_bits``, ``encode_values`` and
-``quantize_tensor`` work on arrays of patterns.
+scalar closed-form reference and the source of the value table that
+``decode_bits`` reads arrays of patterns through; ``quantize_tensor`` is
+the one encoder, and at ``scale=1.0`` it encodes values already in range.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "E3M4",
     "decode",
     "decode_bits",
-    "encode_values",
     "all_values",
     "check_format",
     "quantize_tensor",
@@ -112,39 +112,13 @@ def all_values(fmt: FpFormat) -> np.ndarray:
 
 @functools.cache
 def _values_table(fmt: FpFormat) -> np.ndarray:
-    e = np.arange(1 << CODE_BITS) >> fmt.mantissa_bits
-    m = np.arange(1 << CODE_BITS) & (fmt.mant_levels - 1)
-    vals = (1.0 + m / fmt.mant_levels) * np.exp2(e)
-    vals[0] = 0.0
+    vals = np.array([decode(b, fmt) for b in range(1 << CODE_BITS)])
     vals.flags.writeable = False
     return vals
 
 
-def encode_values(values: np.ndarray, fmt: FpFormat):
-    """Vectorized round-to-nearest encode of non-negative values.
-
-    Each value gets the decodable value (including 0) at minimum distance,
-    ties to the even mantissa (as ``np.rint``); a mantissa that rounds over
-    carries into the exponent.  The FP-ADC's ceiling readout is ``adc``'s
-    own: it clamps at the top mantissa instead of carrying.
-
-    The codes are ``_encode_codes``'s; the flags are added here: values
-    that land on the zero code but are not 0 underflow, values above
-    ``max_value`` overflow (their code is the top one).
-
-    Returns (code_bits uint8, underflow mask, overflow mask).
-    """
-    check_format(fmt)
-    x = np.asarray(values, dtype=float)
-    if x.size and not (np.min(x) >= 0 and np.max(x) < np.inf):  # min >= 0 also rejects NaN
-        raise ContractError("encode requires finite non-negative values")
-    bits = _encode_codes(x, fmt)
-    underflow = (bits == 0) & (x > 0)
-    return bits, underflow, x > fmt.max_value
-
-
 def _encode_codes(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """Round-to-nearest codes (uint8) of finite non-negative float64 values, unchecked.
+    """Unchecked uint8 codes of finite non-negative float64s, rounded as ``quantize_tensor`` says.
 
     Works on the float64 bit pattern ``u`` (as int64): with ``d = 52 - M``
     dropped mantissa bits, a value in [1, max_value] has the code
@@ -205,9 +179,15 @@ class QuantResult(NamedTuple):
 def quantize_tensor(values: np.ndarray, fmt: FpFormat, scale: float | None = None) -> QuantResult:
     """Max-abs post-training quantization of a real tensor.
 
-    The scale maps the largest magnitude onto the top decodable value;
-    each element is then encoded round-to-nearest.  Signs are stored out
-    of band.  An all-zero tensor gets scale 1 and all-zero codes.
+    The scale maps the largest magnitude onto the top decodable value.
+    Each scaled magnitude then gets the decodable value (0 included) at
+    minimum distance, ties to the even mantissa (as ``np.rint``): a
+    mantissa that rounds over carries into the exponent, a value above
+    ``max_value`` clamps to it and one at or below ``min_nonzero / 2``
+    flushes to 0.  (The FP-ADC's ceiling readout is ``adc``'s own: it
+    clamps at the top mantissa instead of carrying.)  Signs are stored out
+    of band.  An all-zero tensor gets scale 1 and all-zero codes;
+    ``scale=1.0`` encodes the values as they are.
 
     The tensor is checked once: its values must be finite, the scale
     finite and positive, and the scaled max-abs finite.  It is then

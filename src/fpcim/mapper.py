@@ -49,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Dimensions of one weight-bearing layer (conv or fc), all integers."""
+    """Dimensions of one conv or fc layer, all integers; the other kind's stay at their defaults."""
 
     kind: str
     in_channels: int = 0
@@ -61,20 +61,22 @@ class LayerSpec:
     out_features: int = 0
 
     def __post_init__(self):
+        if self.kind not in ("conv", "fc"):
+            raise ContractError(f"unknown layer kind {self.kind!r}")
         for f in fields(self)[1:]:
             v = getattr(self, f.name)
             if not is_int(v):
                 raise ContractError(f"{f.name} must be an integer, got {v!r}")
+            fc_field = f.name in ("in_features", "out_features")
+            if v != f.default and fc_field == (self.kind == "conv"):
+                raise ContractError(f"{self.kind} layer has no {f.name}")
         if self.kind == "conv":
             if min(self.in_channels, self.kernel, self.out_channels, self.stride) < 1:
                 raise ContractError("conv dimensions must be >= 1")
             if self.padding < 0:
                 raise ContractError("padding must be >= 0")
-        elif self.kind == "fc":
-            if min(self.in_features, self.out_features) < 1:
-                raise ContractError("fc dimensions must be >= 1")
-        else:
-            raise ContractError(f"unknown layer kind {self.kind!r}")
+        elif min(self.in_features, self.out_features) < 1:
+            raise ContractError("fc dimensions must be >= 1")
 
     @classmethod
     def conv(cls, in_channels, kernel, out_channels, stride=1, padding=0):
@@ -160,6 +162,8 @@ def map_fc(layer: LayerSpec) -> TilePlan:
 
 
 def conv_output_shape(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
+    if layer.kind != "conv":
+        raise ContractError("conv_output_shape requires a conv layer")
     oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
     ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
     if oh < 1 or ow < 1:
@@ -175,6 +179,8 @@ def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     ``weights_matrix.T @ im2col(x)`` equals the direct convolution.  The
     columns are one strided copy of the padded input's k x k windows.
     """
+    if layer.kind != "conv":
+        raise ContractError("im2col requires a conv layer")
     x = np.asarray(x, dtype=float)
     if x.ndim != 4 or x.shape[1] != layer.in_channels:
         raise ContractError(f"expected (n, {layer.in_channels}, h, w) input, got {x.shape}")

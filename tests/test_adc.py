@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fpcim.adc import (
     INT8_LSB,
-    LATENCY_NS,
     V_MID,
     V_RESET,
     V_TH,
@@ -23,6 +22,7 @@ from fpcim.adc import (
 )
 from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, E3M4, all_values, decode
+from fpcim.perfmodel import LATENCY_NS
 
 CFG = AdcConfig()  # 100 fF, 2 V threshold, 95 ns window; E2M5 bank [C, C, 2C, 4C]
 

@@ -7,7 +7,6 @@ import pytest
 from fpcim import fpcodec
 from fpcim.adc import (
     INT8_LSB,
-    LATENCY_NS,
     V_MID,
     AdcConfig,
     adc_x,
@@ -20,6 +19,7 @@ from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, E3M4, decode, decode_bits, quantize_tensor
 from fpcim.mapper import MacroBank, calibrate, map_matrix
+from fpcim.perfmodel import LATENCY_NS
 from fpcim.xbar import MAX_COLS, MAX_ROWS, DeviceModel, program_weights, weight_levels
 
 

@@ -15,7 +15,6 @@ from fpcim.fpcodec import (
     all_values,
     decode,
     decode_bits,
-    encode_values,
     quantize_tensor,
 )
 
@@ -36,6 +35,11 @@ def nearest_oracle(x, fmt):
     """Brute force over all 128 decodable values."""
     table = enumerate_table(fmt)
     return int(np.argmin(np.abs(table - x)))
+
+
+def encode(values, fmt):
+    """Codes of non-negative values through the one encoder, at scale 1."""
+    return quantize_tensor(np.asarray(values, dtype=float), fmt, scale=1.0).codes
 
 
 # ---------------------------------------------------------------- decode
@@ -131,37 +135,30 @@ def test_all_values_table_is_read_only():
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_round_trip_exhaustive(fmt):
-    bits, under, over = encode_values(np.array([decode(b, fmt) for b in range(128)]), fmt)
+    bits = encode([decode(b, fmt) for b in range(128)], fmt)
     assert bits.tolist() == list(range(128))
-    assert not under.any() and not over.any()
 
 
 def test_encode_exact_value():
-    bits, under, over = encode_values(np.array([7.75]), E2M5)
-    assert bits.tolist() == [0b1011110]
-    assert not under[0] and not over[0]
+    assert encode([7.75], E2M5).tolist() == [0b1011110]
 
 
 def test_encode_adc_scenario_value():
     # 5.111 is the analytic converter input of the transient scenario;
     # nearest representable is 5.125 = (1 + 9/32) * 4.
     assert nearest_oracle(5.111, E2M5) == (2 << 5) | 9
-    bits, _, _ = encode_values(np.array([5.111]), E2M5)
+    bits = encode([5.111], E2M5)
     assert bits.tolist() == [(2 << 5) | 9]
     assert decode(bits[0], E2M5) == 5.125
 
 
 def test_encode_overflow_clamps():
-    bits, under, over = encode_values(np.array([16.2]), E2M5)
-    assert bits.tolist() == [0b1111111]
-    assert over[0] and not under[0]
+    assert encode([16.2], E2M5).tolist() == [0b1111111]
 
 
 def test_encode_small_values_flush_to_zero():
     # above the zero/min-code midpoint (0.515625) the nearest code is non-zero
-    bits, under, _ = encode_values(np.array([1e-6, 0.1, 0.499, 0.6]), E2M5)
-    assert bits.tolist() == [0, 0, 0, 1]
-    assert under.tolist() == [True, True, True, False]
+    assert encode([1e-6, 0.1, 0.499, 0.6], E2M5).tolist() == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
@@ -171,7 +168,7 @@ def test_exact_midpoints_round_to_even_mantissa(fmt):
     # next exponent with mantissa 0, and the 0 / min_nonzero tie keeps 0
     vals = all_values(fmt)
     mids = (vals[:-1] + vals[1:]) / 2  # exact in float64
-    bits, _, _ = encode_values(mids, fmt)
+    bits = encode(mids, fmt)
     lower = np.arange(127)
     np.testing.assert_array_equal(bits, np.where(lower % 2 == 0, lower, lower + 1))
     edges = [(e << fmt.mantissa_bits) - 1 for e in range(1, fmt.exp_max + 1)]
@@ -181,19 +178,13 @@ def test_exact_midpoints_round_to_even_mantissa(fmt):
 
 def test_encode_tie_goes_to_even_mantissa():
     # 1 + 1.5/32 lies halfway between mantissas 1 and 2, 1 + 2.5/32 between 2 and 3
-    bits, _, _ = encode_values(np.array([1 + 1.5 / 32, 1 + 2.5 / 32]), E2M5)
-    assert bits.tolist() == [2, 2]
-
-
-def test_encode_rejects_negative():
-    with pytest.raises(ContractError):
-        encode_values(np.array([-1.0]), E2M5)
+    assert encode([1 + 1.5 / 32, 1 + 2.5 / 32], E2M5).tolist() == [2, 2]
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_encode_matches_bruteforce_on_grid(fmt):
     xs = np.linspace(0.0, fmt.max_value * 1.05, 4001)
-    bits, _, _ = encode_values(xs, fmt)
+    bits = encode(xs, fmt)
     table = enumerate_table(fmt)
     for x, b in zip(xs, bits):
         want = table[nearest_oracle(x, fmt)]
@@ -204,8 +195,7 @@ def test_encode_matches_bruteforce_on_grid(fmt):
 
 def test_encode_monotone_on_grid():
     xs = np.linspace(0.0, 17.0, 100_000)
-    bits, _, _ = encode_values(xs, E2M5)
-    vals = decode_bits(bits, E2M5)
+    vals = decode_bits(encode(xs, E2M5), E2M5)
     assert np.all(np.diff(vals) >= 0)
 
 
@@ -213,8 +203,7 @@ def test_relative_error_half_ulp():
     # over the decodable range: the zero code sacrifices 1.0, so the
     # half-ULP bound starts at the smallest non-zero code value
     xs = np.linspace(E2M5.min_nonzero, 15.96875, 100_000)
-    bits, _, _ = encode_values(xs, E2M5)
-    vals = decode_bits(bits, E2M5)
+    vals = decode_bits(encode(xs, E2M5), E2M5)
     rel = np.abs(xs - vals) / xs
     assert np.max(rel) <= 2.0**-6 + 1e-15
 
@@ -222,7 +211,7 @@ def test_relative_error_half_ulp():
 def test_sacrificed_unit_value():
     # 1.0 itself is not representable: nearest code is 1 + 2^-5, one full
     # mantissa step away (the price of the reserved zero code)
-    bits, _, _ = encode_values(np.array([1.0]), E2M5)
+    bits = encode([1.0], E2M5)
     assert decode(bits[0], E2M5) == 1.03125
     assert abs(1.0 - decode(bits[0], E2M5)) == 0.03125
 
@@ -230,15 +219,13 @@ def test_sacrificed_unit_value():
 @settings(max_examples=200, derandomize=True)
 @given(st.integers(0, 127), st.sampled_from(FORMATS))
 def test_round_trip_property(bits, fmt):
-    got, _, _ = encode_values(np.array([decode(bits, fmt)]), fmt)
-    assert got.tolist() == [bits]
+    assert encode([decode(bits, fmt)], fmt).tolist() == [bits]
 
 
 @settings(max_examples=200, derandomize=True)
 @given(st.floats(0, 20), st.floats(0, 20))
 def test_encode_monotone_property(a, b):
-    bits, _, _ = encode_values(np.array(sorted((a, b))), E2M5)
-    lo, hi = decode_bits(bits, E2M5)
+    lo, hi = decode_bits(encode(sorted((a, b)), E2M5), E2M5)
     assert lo <= hi
 
 
@@ -279,12 +266,9 @@ def test_codes_only_encoder_matches_zero_slot_formula(fmt):
         [fmt.max_value * 2, 1e300],
     ])
     x = x[x >= 0]  # drops the one float below 0
-    want_bits, want_under, want_over = zero_slot_reference(x, fmt)
+    want_bits, _, _ = zero_slot_reference(x, fmt)
     np.testing.assert_array_equal(fpcodec._encode_codes(x, fmt), want_bits)
-    bits, under, over = encode_values(x, fmt)
-    np.testing.assert_array_equal(bits, want_bits)
-    np.testing.assert_array_equal(under, want_under)
-    np.testing.assert_array_equal(over, want_over)
+    np.testing.assert_array_equal(encode(x, fmt), want_bits)
     # the midpoint of 0 and min_nonzero ties to 0, one ulp above it is code 1
     half = fmt.min_nonzero / 2
     assert fpcodec._encode_codes(np.array([half, np.nextafter(half, 2.0)]), fmt).tolist() == [0, 1]
@@ -323,7 +307,7 @@ def test_quantize_blocks_match_whole_tensor_encode(fmt):
     q = quantize_tensor(x, fmt)
     scale = fmt.max_value / np.max(np.abs(x))
     assert q.scale == scale
-    want, _, _ = encode_values(np.abs(x) * scale, fmt)
+    want = fpcodec._encode_codes(np.abs(x) * scale, fmt)  # the whole tensor in one call
     np.testing.assert_array_equal(q.codes, want)
     np.testing.assert_array_equal(q.signs, x < 0)
     grid = x[: x.size - x.size % 7].reshape(-1, 7)
@@ -366,7 +350,7 @@ def test_dequantize_round_trip_representable():
 
 
 def test_quantizer_mse_against_bruteforce_oracle():
-    # Brute-force nearest-value quantizer, independent of encode_values.
+    # Brute-force nearest-value quantizer, independent of the codec's encoder.
     rng = np.random.default_rng(42)
     x = rng.laplace(0.0, 1.0, 4096)
     table = enumerate_table(E2M5)

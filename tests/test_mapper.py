@@ -424,6 +424,16 @@ def test_layer_spec_validation():
         LayerSpec("pool")
     with pytest.raises(ContractError):
         map_conv(LayerSpec.fc(4, 4))
+    # an fc spec's conv fields are 0: they read a 3x3 input as a 4x4 output
+    with pytest.raises(ContractError, match="conv_output_shape requires a conv layer"):
+        conv_output_shape(LayerSpec.fc(4, 2), 3, 3)
+    with pytest.raises(ContractError, match="im2col requires a conv layer"):
+        im2col(np.zeros((1, 0, 4, 4)), LayerSpec.fc(4, 2))
+    # a field of the other kind must stay at its default
+    with pytest.raises(ContractError, match="fc layer has no kernel"):
+        LayerSpec("fc", in_features=4, out_features=2, kernel=3)
+    with pytest.raises(ContractError, match="conv layer has no in_features"):
+        LayerSpec("conv", in_channels=1, kernel=3, out_channels=2, in_features=7)
     spec = LayerSpec.conv(np.int64(4), np.int32(3), np.int64(8), stride=np.int64(1))
     assert spec.matrix_shape == (36, 8)
     assert map_matrix(np.int64(600), np.int16(3)).tiles[1].row_start == MAX_ROWS

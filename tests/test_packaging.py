@@ -90,7 +90,6 @@ NON_FORMAT_CALLS = {
     "fpcodec.check_format": fpcodec.check_format,
     "fpcodec.decode": lambda fmt: fpcodec.decode(0, fmt),
     "fpcodec.decode_bits": lambda fmt: fpcodec.decode_bits(np.zeros(1, np.uint8), fmt),
-    "fpcodec.encode_values": lambda fmt: fpcodec.encode_values(np.zeros(1), fmt),
     "fpcodec.quantize_tensor": lambda fmt: fpcodec.quantize_tensor(np.ones(1), fmt),
 }
 

@@ -2,31 +2,28 @@ import math
 
 import pytest
 
+from fpcim import perfmodel
+from fpcim.cimmacro import converter
 from fpcim.errors import ContractError
+from fpcim.fpcodec import E2M5, E3M4
 from fpcim.perfmodel import (
     DEFAULT_PARAMS,
+    LATENCY_NS,
     BlockPowers,
     EnergyParams,
-    adc_comparison,
     throughput_from,
     total_comparison,
 )
 
 
 def test_throughput_e2m5_design_point():
-    tp = throughput_from(576, 256, 200e-9)
+    tp = throughput_from(200e-9)
     assert tp / 1e9 == pytest.approx(1474.56, rel=1e-5)  # 5 significant figures
     assert tp == pytest.approx(2 * 576 * 256 / 200e-9, rel=1e-15)
 
 
 def test_throughput_e3m4_design_point():
-    assert throughput_from(576, 256, 150e-9) / 1e9 == pytest.approx(1966.08, rel=1e-5)
-
-
-def test_throughput_halves_with_columns():
-    assert throughput_from(576, 128, 200e-9) == pytest.approx(
-        throughput_from(576, 256, 200e-9) / 2, rel=1e-15
-    )
+    assert throughput_from(150e-9) / 1e9 == pytest.approx(1966.08, rel=1e-5)
 
 
 def test_efficiency_reproduces_design_points():
@@ -48,12 +45,73 @@ def test_efficiency_power_identity():
         assert r.efficiency * r.total_power == pytest.approx(r.throughput, rel=1e-12)
 
 
-def test_adc_comparison_ratios():
-    cmp = adc_comparison()
-    assert cmp["time_ratio"] == 2.5
-    assert cmp["int8_ramp_factor"] == 4
-    assert cmp["fp_conversion_ns"] == 200 and cmp["int8_conversion_ns"] == 500
-    assert cmp["adc_power_reduction"] == pytest.approx(0.564, abs=1e-12)
+# The paper's figures against the model: (figure, paper, status, model to
+# 3 decimals).  The first five are the abstract's; the rest are the E3M4
+# design point and the savings and time ratio the block powers are solved
+# from.  A status is
+#   fitted:       a calibration input of perfmodel, so the model's equal
+#                 value checks the calibration, not a prediction;
+#   derived:      follows from the 576x256 geometry and the latencies;
+#   not modelled: the model has no such design to compare against;
+#   contradicted: the model reads another value.
+PAPER_CLAIMS = [
+    ("E2M5 efficiency, TFLOPS/W", 19.89, "fitted", 19.89),
+    ("E2M5 throughput, GOPS", 1474.56, "derived", 1474.56),
+    ("efficiency vs a traditional FP8 accelerator", 4.135, "not modelled", None),
+    ("efficiency vs digital FP-CIM", 5.376, "not modelled", None),
+    # against the model's own INT8 baseline: 2.5x the conversion time times
+    # 1 / (1 - 0.465) the power; the abstract does not say whether its
+    # analog INT8-CIM is that baseline or another design
+    ("efficiency vs analog INT8-CIM", 2.841, "contradicted", 4.673),
+    ("E3M4 efficiency, TFLOPS/W", 14.12, "fitted", 14.12),
+    ("E3M4 throughput, GOPS", 1966.08, "derived", 1966.08),
+    ("E2M5 ADC power saving vs INT8", 0.564, "fitted", 0.564),
+    ("E2M5 total power saving vs INT8", 0.465, "fitted", 0.465),
+    ("INT8 / E2M5 conversion time", 2.5, "fitted", 2.5),
+]
+
+
+def model_figures():
+    rows = {r.format: r for r in total_comparison()}
+    blocks = DEFAULT_PARAMS.blocks
+    return {
+        "E2M5 efficiency, TFLOPS/W": rows["E2M5"].efficiency / 1e12,
+        "E2M5 throughput, GOPS": rows["E2M5"].throughput / 1e9,
+        "efficiency vs analog INT8-CIM": rows["E2M5"].efficiency / rows["INT8"].efficiency,
+        "E3M4 efficiency, TFLOPS/W": rows["E3M4"].efficiency / 1e12,
+        "E3M4 throughput, GOPS": rows["E3M4"].throughput / 1e9,
+        "E2M5 ADC power saving vs INT8": 1 - blocks["E2M5"].adc / blocks["INT8"].adc,
+        "E2M5 total power saving vs INT8": 1 - blocks["E2M5"].total / blocks["INT8"].total,
+        "INT8 / E2M5 conversion time": LATENCY_NS["INT8"] / LATENCY_NS["E2M5"],
+    }
+
+
+def test_paper_claims():
+    inputs = [perfmodel._E2M5_EFFICIENCY / 1e12, perfmodel._E3M4_EFFICIENCY / 1e12,
+              perfmodel.ADC_POWER_REDUCTION, perfmodel.TOTAL_POWER_REDUCTION,
+              LATENCY_NS["INT8"] / LATENCY_NS["E2M5"]]
+    model = model_figures()
+    assert set(model) < {figure for figure, *_ in PAPER_CLAIMS}
+    for figure, paper, status, value in PAPER_CLAIMS:
+        got = model.get(figure)
+        assert (None if got is None else round(got, 3)) == value, figure
+        if got is None:
+            want = "not modelled"
+        elif not math.isclose(got, paper, rel_tol=1e-12):
+            want = "contradicted"
+        elif any(math.isclose(paper, v, rel_tol=1e-12) for v in inputs):
+            want = "fitted"
+        else:
+            want = "derived"
+        assert status == want, figure
+    # the contradicted ratio is the time ratio times the total power ratio
+    assert model["efficiency vs analog INT8-CIM"] == pytest.approx(2.5 / (1 - 0.465), rel=1e-12)
+
+
+def test_cost_labels_agree():
+    # a converter's label keys both cost tables: a label added to one alone fails here
+    labels = {converter(r, fmt).label for r in ("adc", "int8") for fmt in (E2M5, E3M4)}
+    assert set(LATENCY_NS) == set(DEFAULT_PARAMS.blocks) == labels
 
 
 def test_total_comparison_rows_and_ranking():
@@ -79,7 +137,7 @@ def test_block_power_must_be_finite_and_non_negative(block, bad):
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, None, "2e-7", True], ids=repr)
 def test_throughput_needs_finite_positive_latency(bad):
     with pytest.raises(ContractError, match="latency"):
-        throughput_from(576, 256, bad)
+        throughput_from(bad)
 
 
 @pytest.mark.parametrize("bad", [None, [], {"E2M5": None}], ids=repr)
