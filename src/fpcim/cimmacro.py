@@ -29,10 +29,20 @@ read-back, subtraction, scaling, flags) over blocks of about
 ``fpcodec._BLOCK`` column results, so its temporaries stay cache-sized.
 The matmuls are not blocked: splitting their vector dimension changes how
 BLAS sums, and so the currents' last bits.
+
+The tile-sized temporaries that never leave a call, the voltages of both
+input phases, the two current planes and the signed path's matmul
+product, live in one grow-only set of scratch buffers per thread
+(``_scratch``): a freed and retaken tile-sized array costs its pages'
+faults on every call (about 1,000 per cnn bench batch), a reused one
+none.  Every array a function of this module returns is fresh, or the
+caller's own ``out``, and none is a view of the scratch.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -155,6 +165,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     (two-phase input scheme).  ``readout`` selects the column converter
     (``converter``): the adaptive FP ADC, the fixed-range INT8 baseline,
     or an identity bypass that returns the digital dot product directly.
+    Every array of the result is fresh.
 
     The DAC and the 2 (unsigned) or 4 (signed) matmuls cover the whole
     batch; the per-column-result chain after them runs over slices of
@@ -170,12 +181,13 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
         if signs is not None:
             dec = np.where(signs, -dec, dec)
         digital = ideal_reference(dec, _levels_from_pair(weights, config.device))
-        zeros = np.zeros(digital.shape, dtype=bool)
-        return MacroResult(None, None, digital, zeros, zeros)
+        return MacroResult(None, None, digital, np.zeros(digital.shape, dtype=bool),
+                           np.zeros(digital.shape, dtype=bool))
 
     convert = converter(readout, config.fmt).convert
-    i_pos, i_neg = _column_currents(bits, signs, weights, config)
-    n, cols = i_pos.shape
+    n, cols = bits.shape[1], weights.shape[1]
+    i_pos, i_neg = _column_currents(bits, signs, weights, config,
+                                    out=_scratch("currents", (2, n, cols)))
     out = MacroResult(np.empty((n, cols), np.uint8), np.empty((n, cols), np.uint8),
                       np.empty((n, cols)), np.empty((n, cols), bool), np.empty((n, cols), bool))
     gain = 1.0 / scale_chain(config)
@@ -191,22 +203,55 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     return out
 
 
-def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig):
+def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig, out=None):
     """(i_pos, i_neg), each (n, cols): the DAC and the whole-tile matmuls.
 
-    The (rows, n) voltage arrays are freed on return, before the
-    conversion chain allocates.
+    The currents are the two planes of ``out``, a C-contiguous (2, n, cols)
+    float64 array, if given, else of one fresh array.  The (rows, n)
+    voltages of both input phases and the signed path's matmul product
+    live in this thread's scratch (``_scratch``), so a repeated call of one
+    shape allocates nothing else.  Each matmul writes a C-contiguous
+    (n, cols) array, as it would a fresh one, so the currents are the same
+    bits either way.
     """
-    volts = dac_convert_bits(bits, config.fmt)
+    rows, n = bits.shape
+    if out is None:
+        out = np.empty((2, n, weights.shape[1]))
+    i_pos, i_neg = out
+    volts = dac_convert_bits(bits, config.fmt, out=_scratch("volts", (rows, n)))
     if signs is None:
-        return volts.T @ weights.g_pos, volts.T @ weights.g_neg
-    v_rev = volts * signs  # +0.0 where the sign is clear: volts are finite, >= 0
+        np.matmul(volts.T, weights.g_pos, out=i_pos)
+        np.matmul(volts.T, weights.g_neg, out=i_neg)
+        return i_pos, i_neg
+    # +0.0 where the sign is clear: volts are finite, >= 0
+    v_rev = np.multiply(volts, signs, out=_scratch("v_rev", (rows, n)))
     volts -= v_rev  # exactly 0 where the sign is set: the forward phase
-    i_pos = volts.T @ weights.g_pos
-    i_pos += v_rev.T @ weights.g_neg
-    i_neg = volts.T @ weights.g_neg
-    i_neg += v_rev.T @ weights.g_pos
+    product = _scratch("product", i_pos.shape)
+    np.matmul(volts.T, weights.g_pos, out=i_pos)
+    i_pos += np.matmul(v_rev.T, weights.g_neg, out=product)
+    np.matmul(volts.T, weights.g_neg, out=i_neg)
+    i_neg += np.matmul(v_rev.T, weights.g_pos, out=product)
     return i_pos, i_neg
+
+
+_local = threading.local()
+
+
+def _scratch(name: str, shape: tuple) -> np.ndarray:
+    """A C-contiguous float64 ``shape`` view of this thread's buffer ``name``.
+
+    Each thread's buffers start empty; one is allocated on first use and
+    replaced only by a larger one, so a call no larger than an earlier one
+    faults in no fresh pages.  A view holds whatever its last user left
+    and is overwritten by the next call of this thread: it must never
+    leave the call that took it.
+    """
+    size = math.prod(shape)
+    buffers = _local.__dict__.setdefault("buffers", {})
+    buf = buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = buffers[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def ideal_reference(decoded_inputs: np.ndarray, weight_levels: np.ndarray) -> np.ndarray:

@@ -30,8 +30,12 @@ V_SUPPLY = 2.5
 V_UNIT = {E2M5: 0.1, E3M4: 0.01}
 
 
-def dac_convert_bits(bits: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """Vectorized conversion of 7-bit code patterns to voltages."""
-    v = fpcodec.decode_bits(bits, fmt)  # a fresh array, scaled in place
+def dac_convert_bits(bits: np.ndarray, fmt: FpFormat, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized conversion of 7-bit code patterns to voltages.
+
+    The voltages go into ``out`` if given, else into one fresh array; ``out``
+    is as for ``fpcodec.decode_bits``.
+    """
+    v = fpcodec.decode_bits(bits, fmt, out=out)  # decoded, then scaled in place
     v *= V_UNIT[fmt]
     return v

@@ -147,14 +147,15 @@ def _encode_codes(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return u.astype(np.uint8)
 
 
-def decode_bits(bits: np.ndarray, fmt: FpFormat) -> np.ndarray:
+def decode_bits(bits: np.ndarray, fmt: FpFormat, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized decode of 7-bit code patterns through the ``all_values`` table.
 
     The codes must have an integer dtype; they index the table as they are.
-    The table is read in flat slices of ``_BLOCK`` codes into one float64
-    array: ``take`` first converts its indices to intp, 8 bytes per code,
-    and on a whole uint8 batch that copy is 8x the codes, fresh pages
-    every call.
+    The values go into ``out``, a C-contiguous float64 array of the codes'
+    shape, if given, else into one fresh array, which is returned.  The
+    table is read in flat slices of ``_BLOCK`` codes: ``take`` first
+    converts its indices to intp, 8 bytes per code, and on a whole uint8
+    batch that copy is 8x the codes, fresh pages every call.
     """
     table = all_values(fmt)
     b = np.asarray(bits)
@@ -162,7 +163,11 @@ def decode_bits(bits: np.ndarray, fmt: FpFormat) -> np.ndarray:
         raise ContractError(f"codes must have an integer dtype, not {b.dtype}")
     if b.size and (b.min() < 0 or b.max() >= (1 << CODE_BITS)):
         raise ContractError("code bits out of 7-bit range")
-    out = np.empty(b.shape)
+    if out is None:
+        out = np.empty(b.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == b.shape and out.flags.c_contiguous and out.flags.writeable):
+        raise ContractError(f"out must be a writeable C-contiguous float64 array of shape {b.shape}")
     flat, flat_out = b.reshape(-1), out.reshape(-1)
     for lo in range(0, flat.size, _BLOCK):
         # "raise" would buffer out; the range is checked above, so "clip" moves no index

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .adc import adc_x
 from .cimmacro import MacroConfig, _column_currents, batch_inputs, converter, macro_mac
@@ -176,8 +175,10 @@ def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
 
     ``x`` is an image batch (n, c, h, w); the result has shape
     (c*k*k, n*out_h*out_w) with rows ordered (channel, ki, kj) so that
-    ``weights_matrix.T @ im2col(x)`` equals the direct convolution.  The
-    columns are one strided copy of the padded input's k x k windows.
+    ``weights_matrix.T @ im2col(x)`` equals the direct convolution.  Each
+    kernel offset (ki, kj) copies the strided input pixels its windows
+    read and writes +0.0 where they read padding, so no padded copy of
+    the input is made.
     """
     if layer.kind != "conv":
         raise ContractError("im2col requires a conv layer")
@@ -187,11 +188,28 @@ def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     n, c, h, w = x.shape
     k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = conv_output_shape(layer, h, w)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    src = x.transpose(1, 0, 2, 3)
     cols = np.empty((c, k, k, n, oh, ow))
-    np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
+    for ki in range(k):
+        i0, i1, r0 = _inside(ki, s, p, h, oh)
+        for kj in range(k):
+            j0, j1, c0 = _inside(kj, s, p, w, ow)
+            dst = cols[:, ki, kj]
+            dst[:, :, :i0] = 0.0
+            dst[:, :, i1:] = 0.0
+            dst[:, :, i0:i1, :j0] = 0.0
+            dst[:, :, i0:i1, j1:] = 0.0
+            dst[:, :, i0:i1, j0:j1] = src[:, :, r0 : r0 + (i1 - i0) * s : s,
+                                          c0 : c0 + (j1 - j0) * s : s]
     return cols.reshape(c * k * k, n * oh * ow)
+
+
+def _inside(offset: int, stride: int, padding: int, size: int, out: int) -> tuple[int, int, int]:
+    """(lo, hi, first): the outputs lo:hi whose input index ``o * stride + offset - padding``
+    lies in [0, size), and that index at ``lo``."""
+    lo = min(out, max(0, -((offset - padding) // stride)))
+    hi = max(lo, min(out, (size - 1 + padding - offset) // stride + 1))
+    return lo, hi, lo * stride + offset - padding
 
 
 @dataclass

@@ -16,7 +16,9 @@ the only convention that reproduces the throughput figures exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 from .errors import ContractError, is_real
 from .xbar import MAX_COLS, MAX_ROWS
@@ -34,8 +36,8 @@ __all__ = [
 # Full conversion windows in integer nanoseconds, so published ratios are
 # exact: 100 ns integrate + 100 ns ramp for the adaptive E2M5 path; the
 # fixed-range INT8 baseline needs a 4x longer ramp to keep its LSB,
-# 100 ns + 400 ns.  Keyed by ``cimmacro.converter(...).label``.
-LATENCY_NS = {"E2M5": 200, "E3M4": 150, "INT8": 500}
+# 100 ns + 400 ns.  Keyed by ``cimmacro.converter(...).label``; read-only.
+LATENCY_NS = MappingProxyType({"E2M5": 200, "E3M4": 150, "INT8": 500})
 
 OPS_PER_MAC = 2
 
@@ -97,16 +99,22 @@ def _default_blocks() -> dict[str, BlockPowers]:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Per-format block powers; defaults reproduce the calibrated table."""
+    """Per-format block powers; defaults reproduce the calibrated table.
 
-    blocks: dict
+    ``blocks`` is a mapping of labels to ``BlockPowers``; the params keep a
+    read-only copy of it, so no later write to the given mapping, or
+    through ``blocks``, changes them.
+    """
+
+    blocks: Mapping
 
     def __post_init__(self):
-        if not isinstance(self.blocks, dict):
-            raise ContractError(f"blocks must be a dict of BlockPowers, got {self.blocks!r}")
+        if not isinstance(self.blocks, Mapping):
+            raise ContractError(f"blocks must be a mapping of BlockPowers, got {self.blocks!r}")
         for label, b in self.blocks.items():
             if not isinstance(b, BlockPowers):
                 raise ContractError(f"block powers for {label} must be BlockPowers")
+        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
 
     def total(self, label: str) -> float:
         if label not in self.blocks:

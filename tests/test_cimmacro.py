@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +17,12 @@ from fpcim.adc import (
     convert_analytic_array,
     int8_baseline_convert,
 )
-from fpcim.cimmacro import MacroConfig, converter, ideal_reference, macro_mac, scale_chain
+from fpcim.cimmacro import (MacroConfig, MacroResult, _column_currents, converter,
+                            ideal_reference, macro_mac, scale_chain)
 from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, E3M4, decode, decode_bits, quantize_tensor
-from fpcim.mapper import MacroBank, calibrate, map_matrix
+from fpcim.mapper import MacroBank, calibrate, execute_plan, map_matrix
 from fpcim.perfmodel import LATENCY_NS
 from fpcim.xbar import MAX_COLS, MAX_ROWS, DeviceModel, program_weights, weight_levels
 
@@ -341,3 +345,106 @@ def test_blocked_chain_equals_unblocked_composition(fmt, readout, signed):
     got = (res.pos_bits, res.neg_bits, res.digital_values, res.underflow, res.saturated)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+# ------------------------------------------------- scratch buffers and results
+
+def conv0_batch(seed):
+    """The cnn bench's first layer: a signed 144x64 tile (the same for every
+    seed) and a 1024-vector batch."""
+    rng = np.random.default_rng(seed)
+    w = np.random.default_rng(40).uniform(-1, 1, (144, 64))
+    bits = rng.integers(0, 128, (144, 1024)).astype(np.uint8)
+    signs = rng.random((144, 1024)) < 0.5
+    return w, bits, signs
+
+
+def result_arrays(res):
+    if isinstance(res, np.ndarray):
+        return [res]
+    if isinstance(res, MacroResult):
+        res = [getattr(res, f.name) for f in dataclasses.fields(res)]
+    return [a for a in res if a is not None]
+
+
+def test_repeated_macro_mac_peak_memory_stays_near_its_result():
+    # the voltages, currents and matmul product live in this thread's
+    # scratch: a warm call allocates its result and the conversion chain's
+    # block temporaries, at most eight float64 blocks; without the scratch
+    # a signed conv0 tile peaks near 3.8 MiB over a 768 KiB result
+    w, bits, signs = conv0_batch(41)
+    cfg = MacroConfig()
+    pair = program_weights(w, cfg.device)
+    macro_mac(bits, pair, cfg, signs=signs)  # fills the scratch
+    tracemalloc.start()
+    try:
+        res = macro_mac(bits, pair, cfg, signs=signs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = sum(a.nbytes for a in result_arrays(res))
+    assert result == 768 * 1024
+    assert peak <= result + 8 * 8 * fpcodec._BLOCK
+
+
+def test_returned_arrays_share_no_memory_between_calls():
+    # a second call on another batch of the same shapes must neither reuse
+    # nor overwrite the first call's arrays
+    w, bits_a, signs_a = conv0_batch(42)
+    _, bits_b, signs_b = conv0_batch(43)
+    plan = map_matrix(*w.shape)
+    # calibrated, so that the two batches read different codes
+    bank = calibrate(plan, MacroBank.build(plan, w, MacroConfig()), bits_a, signs_a)
+    cfg, pair = bank.config, bank[0].pair
+    calls = {
+        "macro_mac": lambda b, s: macro_mac(b, pair, cfg, signs=s),
+        "macro_mac int8": lambda b, s: macro_mac(b, pair, cfg, signs=s, readout="int8"),
+        "macro_mac identity": lambda b, s: macro_mac(b, pair, cfg, signs=s, readout="identity"),
+        "execute_plan": lambda b, s: execute_plan(plan, b, bank, signs=s),
+        "_column_currents": lambda b, s: _column_currents(b, s, pair, cfg),
+        "decode_bits": lambda b, s: decode_bits(b, cfg.fmt),
+    }
+    for name, call in calls.items():
+        first = result_arrays(call(bits_a, signs_a))
+        kept = [a.copy() for a in first]
+        second = result_arrays(call(bits_b, signs_b))
+        assert not any(np.shares_memory(a, b) for a in first for b in second), name
+        # nor do two arrays of one result: writing one flag must not change the other
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[i + 1:]), name
+        for a, k in zip(first, kept):
+            np.testing.assert_array_equal(a, k, err_msg=name)
+        assert any(not np.array_equal(a, b) for a, b in zip(first, second)), name
+
+
+def test_batches_on_threads_at_once_equal_one_thread():
+    # each thread has its own scratch: batches run at once, on more threads
+    # than cores and with frequent switches, give the results each gives alone
+    w, _, _ = conv0_batch(44)
+    batches = [conv0_batch(seed)[1:] for seed in (45, 46, 47)]
+    plan = map_matrix(*w.shape)
+    bank = calibrate(plan, MacroBank.build(plan, w, MacroConfig()), *batches[0])
+    alone = [execute_plan(plan, b, bank, signs=s) for b, s in batches]
+    together = [[] for _ in batches]
+    start = threading.Barrier(len(batches), timeout=60)
+
+    def run(k):
+        start.wait()
+        for _ in range(4):
+            together[k].append(execute_plan(plan, batches[k][0], bank, signs=batches[k][1]))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, runs in zip(alone, together):
+        assert len(runs) == 4
+        for got in runs:
+            for g, e in zip(got, want):
+                np.testing.assert_array_equal(g, e)

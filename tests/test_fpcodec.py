@@ -126,6 +126,34 @@ def test_decode_bits_peak_memory_stays_near_its_output():
     assert peak <= 1.3 * out.nbytes
 
 
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+def test_decode_bits_into_out(fmt):
+    # the values of a fresh decode, written into the given array, which is returned
+    b = np.random.default_rng(5).integers(0, 128, (40, 700)).astype(np.uint8)
+    out = np.full(b.shape, np.nan)
+    got = decode_bits(b, fmt, out=out)
+    assert got is out
+    np.testing.assert_array_equal(out, decode_bits(b, fmt))
+    volts = np.full(b.shape, np.nan)
+    assert dac_convert_bits(b, fmt, out=volts) is volts
+    np.testing.assert_array_equal(volts, dac_convert_bits(b, fmt))
+
+
+@pytest.mark.parametrize("bad", [
+    np.empty((3, 4), dtype=np.float32),
+    np.empty((4, 3)),
+    np.empty((3, 8))[:, ::2],
+    np.empty(12),
+    [[0.0] * 4] * 3,
+], ids=["float32", "shape", "strided", "flat", "list"])
+def test_decode_bits_rejects_an_unfit_out(bad):
+    # a strided out would be written through a reshaped copy and lose the values
+    with pytest.raises(ContractError, match="out must be"):
+        decode_bits(np.zeros((3, 4), dtype=np.uint8), E2M5, out=bad)
+    with pytest.raises(ContractError, match="out must be"):
+        dac_convert_bits(np.zeros((3, 4), dtype=np.uint8), E2M5, out=bad)
+
+
 def test_all_values_table_is_read_only():
     with pytest.raises(ValueError):
         all_values(E2M5)[1] = 0.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpcim.adc import AdcConfig, adc_x
@@ -139,17 +139,25 @@ def test_im2col_matmul_equals_direct_conv():
         )
 
 
-def test_im2col_batch_stride_pad_equals_index_formula():
-    rng = np.random.default_rng(12)
-    n, c, h, w, k, s, p = 3, 2, 7, 6, 3, 2, 1
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+       st.integers(1, 5), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@example(3, 2, 7, 6, 3, 2, 1, 12)
+def test_im2col_batch_stride_pad_equals_index_formula(n, c, h, w, k, s, p, seed):
+    # bit for bit, -0.0 inputs included, for kernels wider than the input
+    # and padding wider than the kernel
+    if h + 2 * p < k or w + 2 * p < k:
+        return
     layer = LayerSpec.conv(c, k, 4, stride=s, padding=p)
-    x = rng.standard_normal((n, c, h, w))
+    x = np.random.default_rng(seed).standard_normal((n, c, h, w))
+    x[x < -1.5] = -0.0
     oh, ow = conv_output_shape(layer, h, w)
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     want = np.empty((c * k * k, n * oh * ow))
     for ci, ki, kj, b, i, j in np.ndindex(c, k, k, n, oh, ow):
         want[(ci * k + ki) * k + kj, (b * oh + i) * ow + j] = xp[b, ci, s * i + ki, s * j + kj]
-    np.testing.assert_array_equal(im2col(x, layer), want)
+    got = im2col(x, layer)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_im2col_channel_mismatch():

@@ -149,3 +149,21 @@ def test_energy_params_need_a_dict_of_block_powers(bad):
 def test_total_power_of_unknown_format_names_it():
     with pytest.raises(ContractError, match="E9M9"):
         DEFAULT_PARAMS.total("E9M9")
+
+
+def test_cost_tables_are_read_only():
+    # an importer's write would change every later cost, and MacroConfig's t_int check
+    with pytest.raises(TypeError):
+        LATENCY_NS["E2M5"] = 1
+    with pytest.raises(TypeError):
+        DEFAULT_PARAMS.blocks["INT8"] = BlockPowers(1.0, 0.0, 0.0, 0.0)
+    assert LATENCY_NS["E2M5"] == 200
+    assert total_comparison()[2].total_power == DEFAULT_PARAMS.total("INT8")
+
+
+def test_energy_params_keep_a_copy_of_their_blocks():
+    given = dict(DEFAULT_PARAMS.blocks)
+    params = EnergyParams(given)
+    given["INT8"] = BlockPowers(1.0, 0.0, 0.0, 0.0)
+    assert params.total("INT8") == DEFAULT_PARAMS.total("INT8")
+    assert EnergyParams(params.blocks).blocks == params.blocks  # a read-only mapping is accepted

@@ -90,6 +90,31 @@ def column_currents(bits, g):
     return _column_currents(bits, None, ConductancePair(g, np.zeros_like(g)), MacroConfig())[0]
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 576), st.integers(1, 256), st.integers(1, 300), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_currents_into_scratch_equal_fresh_matmuls(rows, cols, n, signed, seed):
+    # the matmuls write into given and scratch arrays; every current is the
+    # same bits as the fresh products of the two-phase form, gemv shapes included
+    rng = np.random.default_rng(seed)
+    pair = program_weights(rng.uniform(-1, 1, (rows, cols)), DeviceModel())
+    bits = rng.integers(0, 128, (rows, n)).astype(np.uint8)
+    signs = rng.random((rows, n)) < 0.5 if signed else None
+    config = MacroConfig()
+    volts = dac_convert_bits(bits, config.fmt)
+    if signs is None:
+        want = (volts.T @ pair.g_pos, volts.T @ pair.g_neg)
+    else:
+        fwd, rev = np.where(signs, 0.0, volts), np.where(signs, volts, 0.0)
+        want = (fwd.T @ pair.g_pos + rev.T @ pair.g_neg, fwd.T @ pair.g_neg + rev.T @ pair.g_pos)
+    out = np.empty((2, n, cols))
+    for got in (_column_currents(bits, signs, pair, config),
+                _column_currents(bits, signs, pair, config, out=out)):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    assert all(np.shares_memory(g, out) for g in got)
+
+
 def test_single_cell_ohms_law():
     i = column_currents([0b0101000], [[20e-6]])  # code 2.5: 0.25 V
     assert i[0, 0] == pytest.approx(5e-6, rel=1e-15)
