@@ -4,12 +4,12 @@ A conv kernel ``(c2, c1, k, k)`` is viewed as a 2D matrix of shape
 ``(c1*k*k, c2)`` (one column per output channel); FC weights map the same
 way.  Matrices larger than one macro (``xbar.MAX_ROWS`` x
 ``xbar.MAX_COLS``, 576x256, the only macro geometry) are split into row
-and column tiles.  A tile's shape comes from the plan and lives on its
-programmed ``ConductancePair``; every tile of a bank shares one
-``MacroConfig``.  Row-split tiles produce partial sums that are added
-digitally, so each column block is programmed with one weight scale and its
-sum is scaled back to real weight units once, after the raw digital
-accumulation.
+and column tiles, which follow from the matrix shape alone: a ``TilePlan``
+is that shape, and a ``MacroBank`` is one programmed tile per plan tile,
+all sharing one ``MacroConfig``.  Row-split tiles produce partial sums that
+are added digitally, so each column block is programmed with one weight
+scale, its max-abs weight, and its sum is scaled back to real weight units
+once, after the raw digital accumulation.
 
 A bank's convertible range is its one ``AdcConfig.c_int``: ``calibrate``
 returns a bank with the same programmed tiles and the ``c_int`` that puts
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .adc import adc_x
 from .cimmacro import MacroConfig, _column_currents, batch_inputs, converter, macro_mac
-from .errors import ContractError, is_int, is_real
+from .errors import ContractError, is_int
 from .xbar import MAX_COLS, MAX_ROWS, ConductancePair, program_weights
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "TilePlan",
     "map_conv",
     "map_fc",
-    "map_matrix",
     "im2col",
     "conv_output_shape",
     "MacroBank",
@@ -111,58 +111,53 @@ class Tile:
         return self.col_stop - self.col_start
 
 
-@dataclass
+@dataclass(frozen=True)
 class TilePlan:
+    """A (rows, cols) weight matrix cut into macro-sized tiles; plans of one shape are equal.
+
+    ``tiles`` follows from the shape: the column blocks in order, and the
+    row blocks within one; a tile's id is its position.
+    """
+
     rows: int
     cols: int
-    tiles: list[Tile] = field(default_factory=list)
+    tiles: tuple[Tile, ...] = field(init=False, repr=False, compare=False)
 
-    def col_blocks(self) -> list[list[Tile]]:
+    def __post_init__(self):
+        if not all(is_int(v) and v >= 1 for v in (self.rows, self.cols)):
+            raise ContractError(f"matrix dimensions must be integers >= 1, got {self!r}")
+        spans = product(_spans(self.cols, MAX_COLS), _spans(self.rows, MAX_ROWS))
+        object.__setattr__(self, "tiles", tuple(
+            Tile(i, r0, r1, c0, c1) for i, ((c0, c1), (r0, r1)) in enumerate(spans)))
+
+    def col_blocks(self) -> list[tuple[Tile, ...]]:
         """Tiles grouped by column range, row blocks in order."""
-        blocks: dict[tuple[int, int], list[Tile]] = {}
-        for t in self.tiles:
-            blocks.setdefault((t.col_start, t.col_stop), []).append(t)
-        return [sorted(v, key=lambda t: t.row_start) for _, v in sorted(blocks.items())]
+        n = math.ceil(self.rows / MAX_ROWS)
+        return [self.tiles[i : i + n] for i in range(0, len(self.tiles), n)]
 
 
-def map_matrix(rows: int, cols: int) -> TilePlan:
-    """Partition a (rows, cols) matrix into macro-sized tiles.
+def _spans(size: int, step: int) -> list[tuple[int, int]]:
+    """(start, stop) of each ``step``-long block of ``range(size)``, the last one short."""
+    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
-    Tile ids run over the column blocks in order, and over the row blocks
-    within one.
-    """
-    if not all(is_int(v) and v >= 1 for v in (rows, cols)):
-        raise ContractError(f"matrix dimensions must be integers >= 1, got {rows!r} x {cols!r}")
-    plan = TilePlan(rows, cols)
-    for cb in range(math.ceil(cols / MAX_COLS)):
-        for rb in range(math.ceil(rows / MAX_ROWS)):
-            plan.tiles.append(
-                Tile(
-                    id=len(plan.tiles),
-                    row_start=rb * MAX_ROWS,
-                    row_stop=min((rb + 1) * MAX_ROWS, rows),
-                    col_start=cb * MAX_COLS,
-                    col_stop=min((cb + 1) * MAX_COLS, cols),
-                )
-            )
-    return plan
+
+def _check_layer(layer: LayerSpec, kind: str, requirement: str) -> None:
+    if not (isinstance(layer, LayerSpec) and layer.kind == kind):
+        raise ContractError(f"{requirement}, got {layer!r}")
 
 
 def map_conv(layer: LayerSpec) -> TilePlan:
-    if layer.kind != "conv":
-        raise ContractError("map_conv requires a conv layer")
-    return map_matrix(*layer.matrix_shape)
+    _check_layer(layer, "conv", "map_conv requires a conv layer")
+    return TilePlan(*layer.matrix_shape)
 
 
 def map_fc(layer: LayerSpec) -> TilePlan:
-    if layer.kind != "fc":
-        raise ContractError("map_fc requires an fc layer")
-    return map_matrix(*layer.matrix_shape)
+    _check_layer(layer, "fc", "map_fc requires an fc layer")
+    return TilePlan(*layer.matrix_shape)
 
 
 def conv_output_shape(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
-    if layer.kind != "conv":
-        raise ContractError("conv_output_shape requires a conv layer")
+    _check_layer(layer, "conv", "conv_output_shape requires a conv layer")
     oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
     ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
     if oh < 1 or ow < 1:
@@ -180,8 +175,7 @@ def im2col(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     read and writes +0.0 where they read padding, so no padded copy of
     the input is made.
     """
-    if layer.kind != "conv":
-        raise ContractError("im2col requires a conv layer")
+    _check_layer(layer, "conv", "im2col requires a conv layer")
     x = np.asarray(x, dtype=float)
     if x.ndim != 4 or x.shape[1] != layer.in_channels:
         raise ContractError(f"expected (n, {layer.in_channels}, h, w) input, got {x.shape}")
@@ -212,63 +206,68 @@ def _inside(offset: int, stride: int, padding: int, size: int, out: int) -> tupl
     return lo, hi, lo * stride + offset - padding
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProgrammedTile:
     pair: ConductancePair
     weight_scale: float
 
 
+@dataclass(frozen=True, eq=False)
 class MacroBank:
-    """Programmed macros for one plan, keyed by tile id, sharing one config."""
+    """The programmed macros of one plan, one per plan tile in id order, sharing one config."""
 
-    def __init__(self, plan: TilePlan, config: MacroConfig):
-        self.plan = plan
-        self.config = config
-        self.tiles: dict[int, ProgrammedTile] = {}
+    plan: TilePlan
+    config: MacroConfig
+    tiles: tuple[ProgrammedTile, ...]
+
+    def __post_init__(self):
+        _check_plan_and_config(self.plan, self.config)
+        if not (isinstance(self.tiles, tuple)
+                and all(isinstance(t, ProgrammedTile) for t in self.tiles)):
+            raise ContractError(f"tiles must be a tuple of ProgrammedTile, got {self.tiles!r}")
+        if len(self.tiles) != len(self.plan.tiles):
+            raise ContractError(f"plan has {len(self.plan.tiles)} tiles, bank {len(self.tiles)}")
 
     @classmethod
     def build(cls, plan: TilePlan, weights: np.ndarray, config: MacroConfig,
-              weight_scale: float | None = None, seed: int = 0) -> "MacroBank":
+              seed: int = 0) -> "MacroBank":
         """Normalize and program every tile of the weight matrix.
 
         Each column block is divided by one scale, so the raw digital
-        outputs of its row tiles are summable: ``weight_scale`` if given,
-        else the block's max-abs weight, ``max(block.max(), -block.min())``
-        read without an ``|w|`` copy (1 for an all-zero block).  A given
-        scale must be finite and positive.  ``seed`` must be a non-negative
-        integer; tile ``t`` is programmed with seed ``seed + t.id``.
+        outputs of its row tiles are summable: the block's max-abs weight,
+        ``max(block.max(), -block.min())`` read without an ``|w|`` copy (1
+        for an all-zero block).  ``seed`` must be a non-negative integer;
+        tile ``t`` is programmed with the Python int ``seed + t.id``.
         """
-        if not isinstance(config, MacroConfig):
-            raise ContractError(f"config must be a MacroConfig, got {config!r}")
-        if weight_scale is not None and not (is_real(weight_scale) and 0 < weight_scale < np.inf):
-            raise ContractError(f"weight_scale must be finite and positive, got {weight_scale}")
+        _check_plan_and_config(plan, config)
         if not (is_int(seed) and seed >= 0):
             raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
+        seed = int(seed)  # a numpy seed + t.id could overflow
         w = np.asarray(weights, dtype=float)
         if w.shape != (plan.rows, plan.cols):
-            raise ContractError(f"weight matrix {w.shape} does not match plan "
-                                f"({plan.rows}, {plan.cols})")
-        bank = cls(plan, config)
+            raise ContractError(f"weight matrix {w.shape} does not match {plan!r}")
+        tiles = []
         for block in plan.col_blocks():
             lo, hi = block[0].col_start, block[0].col_stop
-            if weight_scale is not None:
-                beta = float(weight_scale)
-            else:
-                cols = w[:, lo:hi]
-                beta = float(max(cols.max(), -cols.min())) or 1.0
-                if not beta < np.inf:  # inf or NaN: fail before w / beta warns on inf / inf
-                    raise ContractError("weights must be finite")
+            cols = w[:, lo:hi]
+            beta = float(max(cols.max(), -cols.min())) or 1.0
+            if not beta < np.inf:  # inf or NaN: fail before w / beta warns on inf / inf
+                raise ContractError("weights must be finite")
             for t in block:
                 pair = program_weights(w[t.row_start : t.row_stop, lo:hi] / beta,
                                        config.device, seed=seed + t.id)
-                bank.tiles[t.id] = ProgrammedTile(pair, beta)
-        return bank
+                tiles.append(ProgrammedTile(pair, beta))
+        return cls(plan, config, tuple(tiles))
 
     def __getitem__(self, tile_id: int) -> ProgrammedTile:
-        try:
-            return self.tiles[tile_id]
-        except KeyError:
-            raise ContractError(f"no macro programmed for tile {tile_id}") from None
+        return self.tiles[tile_id]
+
+
+def _check_plan_and_config(plan, config) -> None:
+    if not isinstance(plan, TilePlan):
+        raise ContractError(f"plan must be a TilePlan, got {plan!r}")
+    if not isinstance(config, MacroConfig):
+        raise ContractError(f"config must be a MacroConfig, got {config!r}")
 
 
 class PlanResult(NamedTuple):
@@ -285,8 +284,8 @@ def execute_plan(plan: TilePlan, input_bits: np.ndarray, bank: MacroBank,
     ``signs``, if given, is an array-like of the same shape; the results
     are (n, cols).  Raw per-tile dot products of one column block are
     summed in double precision and scaled back by the block's weight scale
-    once.  ``bank`` must have been built for ``plan``: the same object or
-    an equal plan.
+    once.  ``bank`` must have been built for ``plan`` or another plan of
+    its shape.
 
     Every block sums from its first tile's result, so a block of one tile
     is written straight into the outputs.  That is bit for bit the sum
@@ -333,8 +332,8 @@ def calibrate(plan: TilePlan, bank: MacroBank, input_bits: np.ndarray,
     same dot-product units.  The identity readout has no converter and
     raises, and so does a batch that drives no current.
     """
-    full = converter(readout, bank.config.fmt).full_scale
     bits, signs = _plan_inputs(plan, bank, input_bits, signs)
+    full = converter(readout, bank.config.fmt).full_scale
     i_max = 0.0  # x is monotone in the current: the largest current reads x_max
     for t in plan.tiles:
         rs = slice(t.row_start, t.row_stop)
@@ -348,13 +347,13 @@ def calibrate(plan: TilePlan, bank: MacroBank, input_bits: np.ndarray,
     adc = replace(adc, c_int=adc.c_int * x_max / full)
     while adc_x(i_max, adc) >= full:
         adc = replace(adc, c_int=math.nextafter(adc.c_int, math.inf))
-    calibrated = MacroBank(plan, replace(bank.config, adc=adc))
-    calibrated.tiles = dict(bank.tiles)
-    return calibrated
+    return replace(bank, config=replace(bank.config, adc=adc))
 
 
 def _plan_inputs(plan: TilePlan, bank: MacroBank, input_bits, signs):
     """``batch_inputs`` for a bank built for ``plan`` and a batch covering its rows."""
+    if not isinstance(bank, MacroBank):
+        raise ContractError(f"bank must be a MacroBank, got {bank!r}")
     if bank.plan != plan:
         raise ContractError("bank was programmed for another plan")
     bits, signs = batch_inputs(input_bits, signs)

@@ -3,6 +3,8 @@
 These tests run each workload's reference pass on one pool item and one
 traced batch, so that a rename the benchmark depends on fails here first,
 and check the traced macro, ADC and programming counts against the plans.
+The benchmark's own static scan of its sources runs here too, so that a
+name the bench spells outside a traced batch (its modelled cost) is checked.
 The benchmark's modules are imported as they are, without changes.
 """
 
@@ -16,6 +18,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import harness  # noqa: E402
+import selftest  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -44,3 +47,9 @@ def test_workload_runs_traced_and_passes_reference(name):
     assert count("batch", "adc.convert_analytic_array", "conversions") == (
         conversions if wl.readout == "adc" else 0)
     assert count("setup", "xbar.program_weights", "cells") == sum(p.rows * p.cols for p in m.plans)
+
+
+def test_bench_spells_only_public_fpcim_names_that_exist():
+    # harness.modelled_cost and harness.cost_label read perfmodel names that
+    # the traced batch above never calls
+    selftest.test_workload_generation_imports_no_fpcim_and_bench_uses_public_names_only()

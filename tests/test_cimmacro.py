@@ -22,7 +22,7 @@ from fpcim.cimmacro import (MacroConfig, MacroResult, _column_currents, converte
 from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.fpcodec import E2M5, E3M4, decode, decode_bits, quantize_tensor
-from fpcim.mapper import MacroBank, calibrate, execute_plan, map_matrix
+from fpcim.mapper import MacroBank, TilePlan, calibrate, execute_plan
 from fpcim.perfmodel import LATENCY_NS
 from fpcim.xbar import MAX_COLS, MAX_ROWS, DeviceModel, program_weights, weight_levels
 
@@ -118,7 +118,7 @@ def test_calibrated_full_tile_against_analytic_oracle(fmt):
     # a full 576-row tile, calibrated so that it does not saturate: every
     # code equals the per-column dot product through the scalar converter
     rng = np.random.default_rng(11)
-    plan = map_matrix(MAX_ROWS, MAX_COLS)
+    plan = TilePlan(MAX_ROWS, MAX_COLS)
     bank = MacroBank.build(plan, rng.uniform(-1, 1, (MAX_ROWS, MAX_COLS)), MacroConfig(fmt))
     q = quantize_tensor(rng.standard_normal((MAX_ROWS, 8)), fmt)
     cal = calibrate(plan, bank, q.codes)
@@ -392,7 +392,7 @@ def test_returned_arrays_share_no_memory_between_calls():
     # nor overwrite the first call's arrays
     w, bits_a, signs_a = conv0_batch(42)
     _, bits_b, signs_b = conv0_batch(43)
-    plan = map_matrix(*w.shape)
+    plan = TilePlan(*w.shape)
     # calibrated, so that the two batches read different codes
     bank = calibrate(plan, MacroBank.build(plan, w, MacroConfig()), bits_a, signs_a)
     cfg, pair = bank.config, bank[0].pair
@@ -421,7 +421,7 @@ def test_batches_on_threads_at_once_equal_one_thread():
     # than cores and with frequent switches, give the results each gives alone
     w, _, _ = conv0_batch(44)
     batches = [conv0_batch(seed)[1:] for seed in (45, 46, 47)]
-    plan = map_matrix(*w.shape)
+    plan = TilePlan(*w.shape)
     bank = calibrate(plan, MacroBank.build(plan, w, MacroConfig()), *batches[0])
     alone = [execute_plan(plan, b, bank, signs=s) for b, s in batches]
     together = [[] for _ in batches]

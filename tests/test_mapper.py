@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,15 +13,16 @@ from fpcim.fpcodec import E2M5, E3M4, decode_bits, quantize_tensor
 from fpcim.mapper import (
     LayerSpec,
     MacroBank,
+    Tile,
+    TilePlan,
     calibrate,
     conv_output_shape,
     execute_plan,
     im2col,
     map_conv,
     map_fc,
-    map_matrix,
 )
-from fpcim.xbar import MAX_COLS, MAX_ROWS, DeviceModel, weight_levels
+from fpcim.xbar import MAX_COLS, MAX_ROWS, DeviceModel, program_weights, weight_levels
 
 
 def ideal_device():
@@ -82,7 +85,7 @@ def test_map_fc_mirrors_conv():
 
 
 def test_map_column_split():
-    plan = map_matrix(100, 600)
+    plan = TilePlan(100, 600)
     assert len(plan.tiles) == 3  # ceil(600/256)
     assert row_split_ids(plan) == []
     spans = sorted((t.col_start, t.col_stop) for t in plan.tiles)
@@ -92,18 +95,39 @@ def test_map_column_split():
 @settings(max_examples=60, derandomize=True)
 @given(st.integers(1, 1500), st.integers(1, 700))
 def test_tiles_cover_matrix_exactly_once(rows, cols):
-    plan = map_matrix(rows, cols)
+    # the plan's tiles follow from its shape alone, and their ids are their positions
+    plan = TilePlan(rows, cols)
     cover = np.zeros((rows, cols), dtype=int)
     for t in plan.tiles:
         assert t.rows <= 576 and t.cols <= 256
         cover[t.row_start : t.row_stop, t.col_start : t.col_stop] += 1
     assert np.all(cover == 1)
+    assert [t.id for t in plan.tiles] == list(range(len(plan.tiles)))
+    assert tuple(t for b in plan.col_blocks() for t in b) == plan.tiles
+    assert all(len({(t.col_start, t.col_stop) for t in b}) == 1 for b in plan.col_blocks())
     # every row-split tile belongs to exactly one partial-sum group
     grouped = [tid for g in row_split_ids(plan) for tid in g]
     assert len(grouped) == len(set(grouped))
     n_row_blocks = int(np.ceil(rows / 576))
     if n_row_blocks > 1:
         assert len(grouped) == len(plan.tiles)
+
+
+def test_plan_is_its_shape():
+    # a plan's tiles cannot be given, replaced or appended to, and two plans
+    # of one shape are equal: a hand-made tile list could leave the matrix
+    # uncovered (an empty plan ran nothing) or cover it twice (summed twice)
+    plan = TilePlan(8, 4)
+    with pytest.raises(TypeError):
+        TilePlan(8, 4, [Tile(0, 0, 8, 0, 4)])
+    with pytest.raises(FrozenInstanceError):
+        plan.tiles = (Tile(0, 0, 8, 0, 4),) * 2
+    with pytest.raises(FrozenInstanceError):
+        plan.rows = 9
+    assert isinstance(plan.tiles, tuple) and plan.tiles == (Tile(0, 0, 8, 0, 4),)
+    assert plan == TilePlan(8, 4) and hash(plan) == hash(TilePlan(8, 4))
+    assert plan != TilePlan(8, 5) and plan != (8, 4)
+    assert repr(plan) == "TilePlan(rows=8, cols=4)"
 
 
 # ---------------------------------------------------------------- im2col
@@ -181,8 +205,10 @@ def test_single_tile_plan_equals_macro_mac():
     rng = np.random.default_rng(21)
     cfg = MacroConfig(device=ideal_device())
     w = rng.uniform(-1, 1, (8, 4))
-    plan = map_matrix(8, 4)
-    bank = MacroBank.build(plan, w, cfg, weight_scale=1.0)
+    w[5, 2] = -1.0  # the block's max-abs scale is 1.0
+    plan = TilePlan(8, 4)
+    bank = MacroBank.build(plan, w, cfg)
+    assert bank[0].weight_scale == 1.0
     bits = rng.integers(0, 128, 8).astype(np.uint8)[:, None]
 
     res = execute_plan(plan, bits, bank)
@@ -197,11 +223,14 @@ def test_row_split_identity_readout_is_lossless():
     rows, cols = 700, 5  # two row tiles
     cfg = MacroConfig(device=ideal_device())
     w = rng.uniform(-1, 1, (rows, cols))
-    plan = map_matrix(rows, cols)
+    plan = TilePlan(rows, cols)
     levels = weight_levels(w, cfg.device)
-    # treat the signed levels as the weight matrix; dividing by the level
-    # range normalizes them back to [-1, 1] and the group scale cancels
-    bank = MacroBank.build(plan, levels, cfg, weight_scale=cfg.device.level_scale)
+    # treat the signed levels as the weight matrix; with a full-scale level
+    # in the block, the max-abs scale is the level range, which normalizes
+    # them back to [-1, 1], and the group scale cancels
+    levels[rows - 1, 3] = -(cfg.device.levels - 1)
+    bank = MacroBank.build(plan, levels, cfg)
+    assert bank[0].weight_scale == cfg.device.level_scale
     bits = rng.integers(0, 128, rows).astype(np.uint8)[:, None]
     res = execute_plan(plan, bits, bank, readout="identity")
     dense = decode_bits(bits, E2M5).T @ levels
@@ -216,8 +245,10 @@ def test_row_and_column_split_identity_readout_is_lossless(rows, cols, seed):
     rng = np.random.default_rng(seed)
     cfg = MacroConfig(device=ideal_device())
     levels = rng.integers(-15, 16, (rows, cols)).astype(float)
-    plan = map_matrix(rows, cols)
-    bank = MacroBank.build(plan, levels, cfg, weight_scale=cfg.device.level_scale)
+    levels[0, ::MAX_COLS] = cfg.device.levels - 1  # each block's max-abs scale is the level range
+    plan = TilePlan(rows, cols)
+    bank = MacroBank.build(plan, levels, cfg)
+    assert all(t.weight_scale == cfg.device.level_scale for t in bank.tiles)
     bits = rng.integers(0, 128, (rows, 3)).astype(np.uint8)
     signs = rng.random((rows, 3)) < 0.5
     res = execute_plan(plan, bits, bank, signs=signs, readout="identity")
@@ -245,7 +276,7 @@ def test_blocks_from_first_tile_equal_zeros_plus_add(readout, rows):
     bits[:, :3] = 0  # vectors of signed zeros only
     signs = rng.random((rows, n)) < 0.5
     signs[:, :3] = True
-    plan = map_matrix(rows, cols)
+    plan = TilePlan(rows, cols)
     assert [len(b) for b in plan.col_blocks()] == [len(plan.tiles) // 2] * 2
     # integration capacitor sized so the largest column current reads 0.9 of full scale
     device = ideal_device()
@@ -280,7 +311,7 @@ def test_execute_plan_batched():
     rng = np.random.default_rng(23)
     cfg = MacroConfig(device=ideal_device())
     w = rng.uniform(-1, 1, (10, 3))
-    plan = map_matrix(10, 3)
+    plan = TilePlan(10, 3)
     bank = MacroBank.build(plan, w, cfg)
     batch = rng.integers(0, 128, (10, 6)).astype(np.uint8)
     res = execute_plan(plan, batch, bank, readout="identity")
@@ -297,7 +328,7 @@ def test_execute_plan_empty_batch(readout, signed):
     # a (rows, 0) batch gives (0, cols) results, as macro_mac does per tile
     cfg = MacroConfig(device=ideal_device())
     rows, cols = MAX_ROWS + 4, 300  # row and column split
-    plan = map_matrix(rows, cols)
+    plan = TilePlan(rows, cols)
     bank = MacroBank.build(plan, np.ones((rows, cols)), cfg)
     bits = np.zeros((rows, 0), dtype=np.uint8)
     signs = np.zeros((rows, 0), dtype=bool) if signed else None
@@ -309,29 +340,53 @@ def test_execute_plan_empty_batch(readout, signed):
     assert one.digital_values.shape == (0, 256)
 
 
-def test_missing_macro_raises():
+def test_bank_holds_one_programmed_tile_per_plan_tile():
+    # a bank missing a tile cannot be built, so no plan runs on unset outputs
     cfg = MacroConfig(device=ideal_device())
-    plan = map_matrix(4, 2)
-    bank = MacroBank(plan, cfg)  # nothing programmed
-    with pytest.raises(ContractError, match="no macro programmed for tile 0"):
-        execute_plan(plan, np.zeros((4, 1), dtype=np.uint8), bank)
+    plan = TilePlan(MAX_ROWS + 4, 2)
+    bank = MacroBank.build(plan, np.ones((MAX_ROWS + 4, 2)), cfg)
+    assert len(bank.tiles) == len(plan.tiles) == 2
+    for tiles in ((), bank.tiles[:1], bank.tiles * 2):
+        with pytest.raises(ContractError, match="plan has 2 tiles"):
+            MacroBank(plan, cfg, tiles)
+    with pytest.raises(TypeError):
+        MacroBank(plan, cfg)
+    assert MacroBank(plan, cfg, bank.tiles).tiles is bank.tiles
+
+
+def test_programmed_tiles_are_frozen():
+    # a calibrated bank shares its source's tiles, so a write to one would
+    # change the other's outputs
+    plan = TilePlan(4, 2)
+    bank = MacroBank.build(plan, np.ones((4, 2)), MacroConfig(device=ideal_device()))
+    bits = np.full((4, 3), 0b0100000, dtype=np.uint8)
+    cal = calibrate(plan, bank, bits)
+    before = execute_plan(plan, bits, cal)
+    with pytest.raises(FrozenInstanceError):
+        bank[0].weight_scale = 2.0
+    with pytest.raises(FrozenInstanceError):
+        bank.tiles = ()
+    with pytest.raises(FrozenInstanceError):
+        cal.config = bank.config
+    after = execute_plan(plan, bits, cal)
+    assert after.values.tobytes() == before.values.tobytes()
 
 
 def test_bank_built_for_another_plan_rejected():
     cfg = MacroConfig(device=ideal_device())
-    bank = MacroBank.build(map_matrix(4, 1), np.ones((4, 1)), cfg)
+    bank = MacroBank.build(TilePlan(4, 1), np.ones((4, 1)), cfg)
     bits = np.ones((4, 3), dtype=np.uint8)
     # one tile of the same id but 5 columns: column 0 used to fill all five
     with pytest.raises(ContractError, match="another plan"):
-        execute_plan(map_matrix(4, 5), bits, bank)
+        execute_plan(TilePlan(4, 5), bits, bank)
     # an equal plan that is another object is accepted
-    res = execute_plan(map_matrix(4, 1), bits, bank, readout="identity")
+    res = execute_plan(TilePlan(4, 1), bits, bank, readout="identity")
     assert res.values.shape == (3, 1)
 
 
 def test_weight_scale_normalizes_block():
     cfg = MacroConfig(device=ideal_device())
-    plan = map_matrix(4, 2)
+    plan = TilePlan(4, 2)
     w = np.array([[2.0, -4.0]] * 4)
     bank = MacroBank.build(plan, w, cfg)  # per-column-block max-abs
     assert bank[0].weight_scale == 4.0
@@ -350,7 +405,7 @@ def test_block_scale_is_max_abs_without_a_copy(case):
         w[:, :256] = -0.0  # block 0 reads the all-zero scale
     else:
         w[-1, 290] = -0.8  # the peak of block 1 is in its last row tile
-    plan = map_matrix(*w.shape)
+    plan = TilePlan(*w.shape)
     bank = MacroBank.build(plan, w, cfg)
     for block in plan.col_blocks():
         lo, hi = block[0].col_start, block[0].col_stop
@@ -372,28 +427,20 @@ def test_build_rejects_non_finite_weights(bad):
     w = np.full((MAX_ROWS + 4, 3), -0.25)
     w[MAX_ROWS + 1, 2] = bad
     with pytest.raises(ContractError):
-        MacroBank.build(map_matrix(*w.shape), w, cfg)
-
-
-@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf, "1", True])
-def test_build_rejects_bad_weight_scale(scale):
-    cfg = MacroConfig(device=ideal_device())
-    plan = map_matrix(4, 2)
-    with pytest.raises(ContractError, match="weight_scale"):
-        MacroBank.build(plan, np.ones((4, 2)), cfg, weight_scale=scale)
+        MacroBank.build(TilePlan(*w.shape), w, cfg)
 
 
 @pytest.mark.parametrize("config", [None, "E2M5", AdcConfig(), DeviceModel()], ids=repr)
 def test_build_rejects_a_non_config(config):
     with pytest.raises(ContractError, match="config must be a MacroConfig"):
-        MacroBank.build(map_matrix(4, 2), np.ones((4, 2)), config)
+        MacroBank.build(TilePlan(4, 2), np.ones((4, 2)), config)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 @pytest.mark.parametrize("seed", [-1, 1.5, None, np.float64(2.0), True], ids=repr)
 def test_build_seed_must_be_a_non_negative_integer(seed, sigma):
     cfg = MacroConfig(device=DeviceModel(sigma_rel=sigma))
-    plan = map_matrix(MAX_ROWS + 4, 2)
+    plan = TilePlan(MAX_ROWS + 4, 2)
     w = np.ones((MAX_ROWS + 4, 2))
     with pytest.raises(ContractError, match="seed"):
         MacroBank.build(plan, w, cfg, seed=seed)
@@ -403,6 +450,17 @@ def test_build_seed_must_be_a_non_negative_integer(seed, sigma):
         np.testing.assert_array_equal(a[t.id].pair.g_pos, b[t.id].pair.g_pos)
 
 
+def test_build_seeds_tiles_with_python_ints():
+    # the largest int64 seed: tile 1's seed is 2**63, not an overflow to -2**63
+    device = DeviceModel(sigma_rel=0.05)
+    w = np.random.default_rng(4).uniform(-1, 1, (1200, 4))
+    bank = MacroBank.build(TilePlan(1200, 4), w, MacroConfig(device=device),
+                           seed=np.int64(2**63 - 1))
+    want = program_weights(w[MAX_ROWS : 2 * MAX_ROWS] / bank[1].weight_scale, device, seed=2**63)
+    np.testing.assert_array_equal(bank[1].pair.g_pos, want.g_pos)
+    np.testing.assert_array_equal(bank[1].pair.g_neg, want.g_neg)
+
+
 @pytest.mark.parametrize("make", [
     lambda: LayerSpec.fc(10.5, 3),
     lambda: LayerSpec.fc(10, 3.0),
@@ -410,17 +468,47 @@ def test_build_seed_must_be_a_non_negative_integer(seed, sigma):
     lambda: LayerSpec.conv(4, 3, 8, stride=1.5),
     lambda: LayerSpec.conv(4, 3, 8, padding=0.5),
     lambda: LayerSpec.conv(np.float64(4), 3, 8),
-    lambda: map_matrix(2.5, 3),
-    lambda: map_matrix(2, np.float64(3)),
-    lambda: map_matrix("2", 3),
+    lambda: TilePlan(2.5, 3),
+    lambda: TilePlan(2, np.float64(3)),
+    lambda: TilePlan("2", 3),
     lambda: LayerSpec.fc(True, 3),
     lambda: LayerSpec.conv(4, 3, 8, stride=True),
-    lambda: map_matrix(True, 2),
+    lambda: TilePlan(True, 2),
 ], ids=["fc_in", "fc_out", "kernel", "stride", "padding", "numpy_float", "matrix_rows",
         "matrix_cols", "matrix_str", "fc_bool", "stride_bool", "matrix_bool"])
 def test_layer_dimensions_must_be_integers(make):
     with pytest.raises(ContractError, match="integer"):
         make()
+
+
+PLAN = TilePlan(4, 2)
+BANK = MacroBank.build(PLAN, np.ones((4, 2)), MacroConfig(device=ideal_device()))
+BITS = np.full((4, 3), 0b0100000, dtype=np.uint8)
+
+# One call per mapper entry point given an argument of the wrong type, every
+# other argument valid.
+WRONG_TYPE_CALLS = {
+    "execute_plan bank=None": lambda: execute_plan(PLAN, BITS, None),
+    "execute_plan bank=pair": lambda: execute_plan(PLAN, BITS, BANK[0].pair),
+    "calibrate bank=None": lambda: calibrate(PLAN, None, BITS),
+    "MacroBank.build plan=None": lambda: MacroBank.build(None, np.ones((4, 2)), BANK.config),
+    "MacroBank.build plan=shape": lambda: MacroBank.build((4, 2), np.ones((4, 2)), BANK.config),
+    "MacroBank plan=None": lambda: MacroBank(None, BANK.config, BANK.tiles),
+    "MacroBank config=None": lambda: MacroBank(PLAN, None, BANK.tiles),
+    "MacroBank tiles=list": lambda: MacroBank(PLAN, BANK.config, list(BANK.tiles)),
+    "MacroBank tiles=pairs": lambda: MacroBank(PLAN, BANK.config, (BANK[0].pair,)),
+    "map_conv None": lambda: map_conv(None),
+    "map_fc str": lambda: map_fc("fc"),
+    "im2col layer=None": lambda: im2col(np.zeros((1, 1, 4, 4)), None),
+    "conv_output_shape None": lambda: conv_output_shape(None, 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_CALLS))
+def test_wrong_argument_type_rejected(name):
+    # a wrong type fails at the boundary, not as an AttributeError inside
+    with pytest.raises(ContractError, match=r"must be a|requires an? \w+ layer, got"):
+        WRONG_TYPE_CALLS[name]()
 
 
 def test_layer_spec_validation():
@@ -444,12 +532,12 @@ def test_layer_spec_validation():
         LayerSpec("conv", in_channels=1, kernel=3, out_channels=2, in_features=7)
     spec = LayerSpec.conv(np.int64(4), np.int32(3), np.int64(8), stride=np.int64(1))
     assert spec.matrix_shape == (36, 8)
-    assert map_matrix(np.int64(600), np.int16(3)).tiles[1].row_start == MAX_ROWS
+    assert TilePlan(np.int64(600), np.int16(3)).tiles[1].row_start == MAX_ROWS
 
 
 def test_execute_plan_accepts_array_like_signs():
     cfg = MacroConfig(device=ideal_device())
-    plan = map_matrix(4, 2)
+    plan = TilePlan(4, 2)
     bank = MacroBank.build(plan, np.ones((4, 2)), cfg)
     bits = np.full((4, 1), 0b0100000, dtype=np.uint8)  # 2.0 each
     signs = [[False], [True], [False], [True]]
@@ -461,7 +549,7 @@ def test_execute_plan_accepts_array_like_signs():
 
 def test_signs_shape_must_match_codes():
     cfg = MacroConfig(device=ideal_device())
-    plan = map_matrix(4, 2)
+    plan = TilePlan(4, 2)
     bank = MacroBank.build(plan, np.ones((4, 2)), cfg)
     bits = np.zeros((4, 3), dtype=np.uint8)
     signs = np.zeros(4, dtype=bool)  # one sign per row, not per code
@@ -492,7 +580,7 @@ SQNR_FLOOR_DB = {"E2M5": 19.0, "E3M4": 13.5, "INT8": 26.0}
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 def test_calibrated_full_tile_computes_on_held_out_batches(fmt, readout, signed, sigma):
     rng = np.random.default_rng(21)
-    plan = map_matrix(MAX_ROWS, MAX_COLS)
+    plan = TilePlan(MAX_ROWS, MAX_COLS)
     w = rng.uniform(-1, 1, (MAX_ROWS, MAX_COLS))
     bank = MacroBank.build(plan, w, MacroConfig(fmt, device=DeviceModel(sigma_rel=sigma)), seed=3)
     bits, signs = gaussian_batch(rng, fmt, 64, signed)
@@ -519,7 +607,7 @@ def test_calibrate_fits_the_largest_column_x_over_every_tile(readout):
     # x_max / full_scale, x_max taken over both columns of every tile
     rng = np.random.default_rng(5)
     rows, cols = 2 * MAX_ROWS + 40, MAX_COLS + 30
-    plan = map_matrix(rows, cols)
+    plan = TilePlan(rows, cols)
     cfg = MacroConfig(E3M4)
     bank = MacroBank.build(plan, rng.uniform(-1, 1, (rows, cols)), cfg)
     q = quantize_tensor(rng.standard_normal((rows, 16)), E3M4)
@@ -542,7 +630,7 @@ def test_calibrate_fits_the_largest_column_x_over_every_tile(readout):
 
 
 def test_calibrate_contracts():
-    plan = map_matrix(4, 2)
+    plan = TilePlan(4, 2)
     bank = MacroBank.build(plan, np.ones((4, 2)), MacroConfig(device=ideal_device()))
     bits = np.full((4, 3), 0b0100000, dtype=np.uint8)
     for readout in ("identity", "bogus"):
@@ -553,6 +641,6 @@ def test_calibrate_contracts():
     with pytest.raises(ContractError, match="drive no current"):
         calibrate(plan, bank, np.zeros((4, 0), dtype=np.uint8))
     with pytest.raises(ContractError, match="another plan"):
-        calibrate(map_matrix(4, 3), bank, bits)
+        calibrate(TilePlan(4, 3), bank, bits)
     with pytest.raises(ContractError, match="expects 4 input rows"):
         calibrate(plan, bank, bits[:3])
