@@ -121,11 +121,17 @@ def adc_x(i_mac, config: AdcConfig) -> np.ndarray:
     """Converter input ``x = i * t_int / (c_int * V_MID)``; x = 1 integrates to V_MID.
 
     NaN or negative currents raise; +inf gives x = inf, which saturates.
+    x is one fresh array (a scalar for a scalar current): the product,
+    then the division in place, the operations of the formula in its order.
     """
+    if not isinstance(config, AdcConfig):
+        raise ContractError(f"config must be an AdcConfig, got {config!r}")
     i = np.asarray(i_mac, dtype=float)
     if i.size and not np.min(i) >= 0:  # np.min propagates NaN
         raise ContractError("MAC currents must be non-negative and not NaN")
-    return i * config.t_int / (config.c_int * V_MID)
+    x = np.multiply(i, config.t_int)
+    x /= config.c_int * V_MID
+    return x
 
 
 @dataclass
@@ -214,7 +220,8 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat):
     np.clip(x, 1.0, np.nextafter(full, 0.0), out=x)
     u = x.view(np.int64)
     d = 52 - fmt.mantissa_bits
-    top = u >> d
+    values = np.empty(x.shape)  # first holds ``top``, then the codes' x
+    top = np.right_shift(u, d, out=values.view(np.int64))
     top |= fmt.mant_levels - 1  # the binade's top step
     u += (1 << d) - 1
     u >>= d
@@ -222,7 +229,8 @@ def convert_analytic_array(i_mac: np.ndarray, config: AdcConfig, fmt: FpFormat):
     u -= 1023 << fmt.mantissa_bits
     # the table is read with the int64 codes: uint8 ones would first be
     # copied to intp by take
-    return u.astype(np.uint8), underflow, saturated, all_values(fmt).take(u)
+    all_values(fmt).take(u, out=values, mode="clip")
+    return u.astype(np.uint8), underflow, saturated, values
 
 
 def simulate_transient(i_mac, config: AdcConfig, fmt: FpFormat) -> AdcResult:

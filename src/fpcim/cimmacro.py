@@ -23,20 +23,33 @@ one dot-product unit to the ADC's internal x value; weights must be
 pre-scaled so results land inside the convertible range.  The DAC's
 volts per decoded 1.0, ``v_unit``, is the format's ``dac.V_UNIT``.
 
-``macro_mac`` runs the DAC and the crossbar matmuls on the whole tile and
-batch, then the per-column chain after them (conversion of both columns,
+``macro_mac`` computes the column currents of the whole tile and batch,
+then runs the per-column chain after them (conversion of both columns,
 read-back, subtraction, scaling, flags) over blocks of about
 ``fpcodec._BLOCK`` column results, so its temporaries stay cache-sized.
-The matmuls are not blocked: splitting their vector dimension changes how
+
+A noiseless tile holds integer levels ``k`` (``xbar.ConductancePair``),
+and ``q = mant_levels * decode(code)`` is an integer too, so its currents
+are computed exactly: ``i = V_UNIT * (g_min * S + (g_lsb / mant_levels) *
+D)``, with ``S`` each vector's sum of decoded inputs and ``D = sum q * k``
+from one matmul of the ``[kp | kn]`` levels per input phase (signed
+inputs add the reverse phase's product with its halves swapped).  ``D``
+is at most ``max_value * mant_levels * (levels - 1) * MAX_ROWS``; below
+2^24 (E2M5 at 16 levels: 4,354,560) every partial sum is an integer
+float32 holds exactly, above it (E3M4: 34,283,520) the operands are
+float64 integers (``D`` stays far below 2^53 with at most 2^24 levels),
+so ``D`` is the same bits in any summation order, blocking and row split
+alike.  A noisy tile's currents are float64 ``volts.T @ g`` matmuls of
+its planes, not blocked: splitting their vector dimension changes how
 BLAS sums, and so the currents' last bits.
 
-The tile-sized temporaries that never leave a call, the voltages of both
-input phases, the two current planes and the signed path's matmul
-product, live in one grow-only set of scratch buffers per thread
-(``_scratch``): a freed and retaken tile-sized array costs its pages'
-faults on every call (about 1,000 per cnn bench batch), a reused one
-none.  Every array a function of this module returns is fresh, or the
-caller's own ``out``, and none is a view of the scratch.
+The tile-sized temporaries that never leave a call, the decoded inputs or
+voltages, the integer operands and sums, the two current planes and the
+noisy signed path's matmul product, live in one grow-only set of scratch
+buffers per thread (``_scratch``): a freed and retaken tile-sized array
+costs its pages' faults on every call (about 1,000 per cnn bench batch),
+a reused one none.  Every array a function of this module returns is
+fresh, or the caller's own ``out``, and none is a view of the scratch.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ from .dac import V_UNIT, dac_convert_bits
 from .errors import ContractError
 from .fpcodec import E2M5, FpFormat, check_format
 from .perfmodel import LATENCY_NS
-from .xbar import ConductancePair, DeviceModel
+from .xbar import MAX_ROWS, ConductancePair, DeviceModel
 
 __all__ = [
     "MacroConfig",
@@ -134,8 +147,11 @@ def scale_chain(config: MacroConfig) -> float:
     return V_UNIT[config.fmt] * config.device.g_lsb * config.adc.t_int / (config.adc.c_int * V_MID)
 
 
-def _levels_from_pair(weights: ConductancePair, device: DeviceModel) -> np.ndarray:
-    """Signed levels read back from a differential pair (noiseless device)."""
+def _signed_levels(weights: ConductancePair, device: DeviceModel) -> np.ndarray:
+    """Signed levels of a tile: a noiseless tile's own, else read back from its pair."""
+    if weights.levels is not None:
+        cols = weights.shape[1]
+        return np.subtract(weights.levels[:, :cols], weights.levels[:, cols:], dtype=float)
     return np.rint((weights.g_pos - weights.g_neg) / device.g_lsb)
 
 
@@ -167,11 +183,15 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
     or an identity bypass that returns the digital dot product directly.
     Every array of the result is fresh.
 
-    The DAC and the 2 (unsigned) or 4 (signed) matmuls cover the whole
-    batch; the per-column-result chain after them runs over slices of
-    ``max(1, fpcodec._BLOCK // cols)`` input vectors, so no bit depends on
-    the block.
+    The currents (``_column_currents``) cover the whole batch; the
+    per-column-result chain after them runs over slices of ``max(1,
+    fpcodec._BLOCK // cols)`` input vectors, so no bit depends on the
+    block.
     """
+    if not isinstance(weights, ConductancePair):
+        raise ContractError(f"weights must be a ConductancePair, got {weights!r}")
+    if not isinstance(config, MacroConfig):
+        raise ContractError(f"config must be a MacroConfig, got {config!r}")
     bits, signs = batch_inputs(input_bits, signs)
     if bits.shape[0] != weights.shape[0]:
         raise ContractError(f"{bits.shape[0]} input rows for a {weights.shape[0]}-row macro")
@@ -180,7 +200,7 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
         dec = fpcodec.decode_bits(bits, config.fmt)
         if signs is not None:
             dec = np.where(signs, -dec, dec)
-        digital = ideal_reference(dec, _levels_from_pair(weights, config.device))
+        digital = ideal_reference(dec, _signed_levels(weights, config.device))
         return MacroResult(None, None, digital, np.zeros(digital.shape, dtype=bool),
                            np.zeros(digital.shape, dtype=bool))
 
@@ -204,21 +224,33 @@ def macro_mac(input_bits: np.ndarray, weights: ConductancePair, config: MacroCon
 
 
 def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig, out=None):
-    """(i_pos, i_neg), each (n, cols): the DAC and the whole-tile matmuls.
+    """(i_pos, i_neg), each (n, cols): the currents of both columns of every pair.
 
     The currents are the two planes of ``out``, a C-contiguous (2, n, cols)
-    float64 array, if given, else of one fresh array.  The (rows, n)
-    voltages of both input phases and the signed path's matmul product
-    live in this thread's scratch (``_scratch``), so a repeated call of one
-    shape allocates nothing else.  Each matmul writes a C-contiguous
-    (n, cols) array, as it would a fresh one, so the currents are the same
-    bits either way.
+    float64 array, if given, else of one fresh array.  A noiseless tile's
+    are ``V_UNIT * (g_min * S + (g_lsb / mant_levels) * D)`` from its exact
+    sums (``_level_sums``, which writes ``D`` into ``out``) in float64, in
+    that order of operations, with its own device's ``g_min`` and
+    ``g_lsb``.  A noisy tile's are the DAC's voltages times its planes, 2
+    (unsigned) or 4 (signed) whole-tile float64 matmuls, each writing a
+    C-contiguous (n, cols) array, as it would a fresh one.  Every
+    temporary lives in this thread's scratch (``_scratch``), so a repeated
+    call of one shape allocates nothing else.
     """
     rows, n = bits.shape
     if out is None:
         out = np.empty((2, n, weights.shape[1]))
     i_pos, i_neg = out
-    volts = dac_convert_bits(bits, config.fmt, out=_scratch("volts", (rows, n)))
+    if weights.levels is not None:
+        device = weights.device
+        s = _level_sums(bits, signs, weights, config.fmt, out)
+        g_min_s = np.multiply(s, device.g_min, out=s)[:, None]
+        for i in out:
+            i *= device.g_lsb / config.fmt.mant_levels
+            i += g_min_s
+            i *= V_UNIT[config.fmt]
+        return i_pos, i_neg
+    volts = dac_convert_bits(bits, config.fmt, out=_scratch("inputs", (rows, n)))
     if signs is None:
         np.matmul(volts.T, weights.g_pos, out=i_pos)
         np.matmul(volts.T, weights.g_neg, out=i_neg)
@@ -234,11 +266,60 @@ def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig,
     return i_pos, i_neg
 
 
+def _exact_dtype(fmt: FpFormat, device: DeviceModel):
+    """float32 when every level sum ``D`` of a tile is an integer below 2^24, else float64."""
+    bound = fmt.max_value * fmt.mant_levels * (device.levels - 1) * MAX_ROWS
+    return np.float32 if bound < 2**24 else np.float64
+
+
+def _level_sums(bits, signs, weights: ConductancePair, fmt: FpFormat, out):
+    """``S`` of a noiseless tile, a fresh (n,) array; its ``D`` goes into ``out``.
+
+    ``S`` is each vector's sum of decoded inputs over every row.  With ``q
+    = mant_levels * decode(code)``, ``D_pos = q_f . kp + q_r . kn`` and
+    ``D_neg = q_f . kn + q_r . kp`` are written into the two (n, cols)
+    float64 planes of ``out``, ``q_f`` and ``q_r`` the forward (sign clear)
+    and reverse (sign set) phases' inputs, ``q_r`` zero without signs.
+    Each phase is one matmul of its half of the ``[q_f | q_r]`` operand
+    with the ``[kp | kn]`` levels into one (n, 2 * cols) product, the
+    reverse phase's halves added swapped.  Every term is a non-negative
+    integer and every sum is below 2^24 in float32 (``_exact_dtype``), or
+    in float64, so each is exact.
+    """
+    rows, n = bits.shape
+    cols = weights.shape[1]
+    dtype = _exact_dtype(fmt, weights.device)
+    dec = fpcodec.decode_bits(bits, fmt, out=_scratch("inputs", (rows, n)))
+    s = dec.sum(axis=0)  # multiples of 2^-M far below 2^53: exact in any order
+    q = _scratch("q", (rows, n if signs is None else 2 * n), dtype)
+    np.multiply(dec, fmt.mant_levels, out=q[:, :n])
+    k = weights.levels
+    if k.dtype != dtype:  # float64 integer operands
+        k = _scratch("levels", k.shape, dtype)
+        np.copyto(k, weights.levels)
+    d = _scratch("sums", (n, 2 * cols), dtype)
+    d_pos, d_neg = out
+    if signs is not None:
+        rev = np.multiply(q[:, :n], signs, out=q[:, n:])
+        q[:, :n] -= rev
+        np.matmul(rev.T, k, out=d)
+        np.copyto(d_pos, d[:, cols:])
+        np.copyto(d_neg, d[:, :cols])
+    np.matmul(q[:, :n].T, k, out=d)
+    if signs is None:
+        np.copyto(d_pos, d[:, :cols])
+        np.copyto(d_neg, d[:, cols:])
+    else:
+        d_pos += d[:, :cols]
+        d_neg += d[:, cols:]
+    return s
+
+
 _local = threading.local()
 
 
-def _scratch(name: str, shape: tuple) -> np.ndarray:
-    """A C-contiguous float64 ``shape`` view of this thread's buffer ``name``.
+def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A C-contiguous ``dtype`` ``shape`` view of this thread's buffer ``name``.
 
     Each thread's buffers start empty; one is allocated on first use and
     replaced only by a larger one, so a call no larger than an earlier one
@@ -248,9 +329,10 @@ def _scratch(name: str, shape: tuple) -> np.ndarray:
     """
     size = math.prod(shape)
     buffers = _local.__dict__.setdefault("buffers", {})
-    buf = buffers.get(name)
+    key = (name, np.dtype(dtype))
+    buf = buffers.get(key)
     if buf is None or buf.size < size:
-        buf = buffers[name] = np.empty(size)
+        buf = buffers[key] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 

@@ -235,9 +235,15 @@ class MacroBank:
 
         Each column block is divided by one scale, so the raw digital
         outputs of its row tiles are summable: the block's max-abs weight,
-        ``max(block.max(), -block.min())`` read without an ``|w|`` copy (1
-        for an all-zero block).  ``seed`` must be a non-negative integer;
-        tile ``t`` is programmed with the Python int ``seed + t.id``.
+        ``max(max, -min)`` with no ``|w|`` copy (1 for an all-zero block).
+        A matrix wider than one block is first reduced to per-column maxima
+        and minima in row passes, where a block's column slice would be
+        read strided.  Every tile is divided into one reused buffer, which
+        a noiseless programming rounds in place, and a noiseless bank's
+        levels are views of one allocation: with one fresh array per tile,
+        every other repeated mlp set-up faulted its levels' pages in anew.
+        ``seed`` must be a non-negative integer; tile ``t`` is programmed
+        with the Python int ``seed + t.id``.
         """
         _check_plan_and_config(plan, config)
         if not (is_int(seed) and seed >= 0):
@@ -246,16 +252,24 @@ class MacroBank:
         w = np.asarray(weights, dtype=float)
         if w.shape != (plan.rows, plan.cols):
             raise ContractError(f"weight matrix {w.shape} does not match {plan!r}")
-        tiles = []
+        wide = plan.cols > MAX_COLS
+        col_max, col_min = (w.max(axis=0), w.min(axis=0)) if wide else (w, w)
+        buffer = np.empty(min(plan.rows, MAX_ROWS) * min(plan.cols, MAX_COLS))
+        levels = np.empty(2 * w.size, np.float32) if config.device.sigma_rel == 0 else None
+        tiles, at = [], 0
         for block in plan.col_blocks():
             lo, hi = block[0].col_start, block[0].col_stop
-            cols = w[:, lo:hi]
-            beta = float(max(cols.max(), -cols.min())) or 1.0
+            beta = float(max(col_max[..., lo:hi].max(), -col_min[..., lo:hi].min())) or 1.0
             if not beta < np.inf:  # inf or NaN: fail before w / beta warns on inf / inf
                 raise ContractError("weights must be finite")
             for t in block:
-                pair = program_weights(w[t.row_start : t.row_stop, lo:hi] / beta,
-                                       config.device, seed=seed + t.id)
+                size = t.rows * t.cols
+                tile = np.divide(w[t.row_start : t.row_stop, lo:hi], beta,
+                                 out=buffer[:size].reshape(t.rows, t.cols))
+                out = None if levels is None else levels[2 * at : 2 * (at + size)].reshape(t.rows, -1)
+                at += size
+                pair = program_weights(tile, config.device, seed=seed + t.id, overwrite=True,
+                                       out=out)
                 tiles.append(ProgrammedTile(pair, beta))
         return cls(plan, config, tuple(tiles))
 

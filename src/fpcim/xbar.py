@@ -7,13 +7,15 @@ quantize the weight onto ``levels`` (an integer >= 2) uniform conductance
 steps per sign.
 
 Programming works on the signed weight throughout: the level is
-``rint(w * (levels - 1))``, scaled to a signed conductance step ``a``, and
-the planes are ``max(a, 0) + g_min`` and ``max(-a, 0) + g_min``.  Every
-step is odd in w, so this is bit for bit the ``|w|`` form split by sign.
-A noisy device is programmed in row blocks through one block-sized
-scratch array, so a Monte Carlo trial allocates nothing tile-sized beside
-the returned conductances; a noiseless one in whole-tile passes (see
-``program_weights``).
+``rint(w * (levels - 1))``, and the two columns hold its positive part
+``kp`` and its negative part ``kn``.  A noiseless cell's conductance is
+then ``g_min + k * g_lsb`` with an integer ``k``, so a noiseless tile is
+stored as its integer levels, one float32 ``[kp | kn]`` matrix, and its
+conductance planes are derived from them on every read; the macro sums
+with the integers themselves (``cimmacro``).  A noisy tile is its two
+float64 conductance planes, programmed in row blocks through one
+block-sized scratch array, so a Monte Carlo trial allocates nothing
+tile-sized beside the returned conductances (see ``program_weights``).
 
 Column currents follow Ohm's law and Kirchhoff's current law with the
 source line clamped: the model works with the current magnitude entering
@@ -44,7 +46,10 @@ MAX_COLS = 256
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Programmable-conductance device parameters (siemens)."""
+    """Programmable-conductance device parameters (siemens).
+
+    ``levels`` is at most 2^24, so every level is exact in float32.
+    """
 
     g_min: float = 0.5e-6
     g_max: float = 20e-6
@@ -55,8 +60,8 @@ class DeviceModel:
         if not (is_real(self.g_min) and is_real(self.g_max)
                 and 0 <= self.g_min < self.g_max < np.inf):
             raise ContractError("need 0 <= g_min < g_max < inf")
-        if not (is_int(self.levels) and self.levels >= 2):
-            raise ContractError(f"levels must be an integer >= 2, got {self.levels!r}")
+        if not (is_int(self.levels) and 2 <= self.levels <= 2**24):
+            raise ContractError(f"levels must be an integer in 2..2^24, got {self.levels!r}")
         if not (is_real(self.sigma_rel) and 0 <= self.sigma_rel < np.inf):
             raise ContractError("sigma_rel must be finite and non-negative")
 
@@ -71,27 +76,71 @@ class DeviceModel:
         return float(self.levels - 1)
 
 
-@dataclass(frozen=True)
 class ConductancePair:
-    """Differential conductance matrices holding one tile of signed weights."""
+    """Differential conductance matrices holding one tile of signed weights.
 
-    g_pos: np.ndarray
-    g_neg: np.ndarray
+    ``ConductancePair(g_pos, g_neg)`` holds the two (rows, cols) planes, as
+    a noisy device programs them; ``levels`` and ``device`` are None.  A
+    noiseless tile (``program_weights``) holds only its integer levels:
+    ``levels`` is one C-contiguous float32 ``[kp | kn]`` matrix of shape
+    (rows, 2 * cols), the levels of the positive and the negative columns
+    in 0..levels-1, and ``device`` the model they are levels of.  Its
+    ``g_pos`` and ``g_neg`` are derived on every read, fresh, as ``k /
+    level_scale * span + g_min``: the bits the planes of a noiseless
+    programming always had.  Every stored array is read-only, and so is
+    the pair: setting an attribute raises, as it did on a frozen dataclass.
+    """
 
-    def __post_init__(self):
-        if self.g_pos.shape != self.g_neg.shape or self.g_pos.ndim != 2:
+    def __init__(self, g_pos: np.ndarray, g_neg: np.ndarray):
+        if g_pos.shape != g_neg.shape or g_pos.ndim != 2:
             raise ContractError("g_pos and g_neg must be equal-shape 2D matrices")
-        rows, cols = self.g_pos.shape
-        if not (1 <= rows <= MAX_ROWS and 1 <= cols <= MAX_COLS):
-            raise ContractError(f"tile {rows}x{cols} does not fit the {MAX_ROWS}x{MAX_COLS} macro")
-        if not (self.g_pos.min() >= 0 and self.g_neg.min() >= 0):  # min propagates NaN
+        _check_tile(*g_pos.shape)
+        if not (g_pos.min() >= 0 and g_neg.min() >= 0):  # min propagates NaN
             raise ContractError("conductances must be non-negative and not NaN")
-        self.g_pos.flags.writeable = False
-        self.g_neg.flags.writeable = False
+        g_pos.flags.writeable = False
+        g_neg.flags.writeable = False
+        vars(self).update(_planes=(g_pos, g_neg), levels=None, device=None)
+
+    @classmethod
+    def _of_levels(cls, levels: np.ndarray, device: "DeviceModel") -> "ConductancePair":
+        pair = cls.__new__(cls)
+        levels.flags.writeable = False
+        vars(pair).update(_planes=None, levels=levels, device=device)
+        return pair
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a ConductancePair is read-only: cannot set {name!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.g_pos.shape
+        if self.levels is None:
+            return self._planes[0].shape
+        rows, cols = self.levels.shape
+        return rows, cols // 2
+
+    @property
+    def g_pos(self) -> np.ndarray:
+        return self._plane(0)
+
+    @property
+    def g_neg(self) -> np.ndarray:
+        return self._plane(1)
+
+    def _plane(self, half: int) -> np.ndarray:
+        if self.levels is None:
+            return self._planes[half]
+        cols = self.shape[1]
+        g = self.levels[:, half * cols : (half + 1) * cols].astype(float)
+        g /= self.device.level_scale
+        g *= self.device.g_max - self.device.g_min
+        g += self.device.g_min
+        g.flags.writeable = False
+        return g
+
+
+def _check_tile(rows: int, cols: int) -> None:
+    if not (1 <= rows <= MAX_ROWS and 1 <= cols <= MAX_COLS):
+        raise ContractError(f"tile {rows}x{cols} does not fit the {MAX_ROWS}x{MAX_COLS} macro")
 
 
 def weight_levels(weights: np.ndarray, model: DeviceModel, out: np.ndarray | None = None) -> np.ndarray:
@@ -106,7 +155,8 @@ def weight_levels(weights: np.ndarray, model: DeviceModel, out: np.ndarray | Non
     return np.rint(a, out=a)
 
 
-def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> ConductancePair:
+def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0,
+                    overwrite: bool = False, out: np.ndarray | None = None) -> ConductancePair:
     """Program a (rows, cols) block of weights, |w| <= 1, into a differential pair.
 
     Weights are rounded to the device's conductance levels; programming
@@ -114,44 +164,52 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0) -> C
     drawn from the given seed, clamped back into [g_min, g_max].  The seed
     must be a non-negative integer at every ``sigma_rel``.
 
-    Both matrices are planes of one ``(2, rows, cols)`` buffer: plane 0 is
-    ``g_pos``, plane 1 ``g_neg``.  The signed conductance step ``a`` is the
-    ``weight_levels`` array, divided by ``level_scale`` and multiplied by
-    the span in place; the planes are ``max(a, 0) + g_min`` and
-    ``max(-a, 0) + g_min`` (``a`` is negated in place for the second).
+    A noiseless pair holds its integer levels (``ConductancePair``): the
+    ``weight_levels`` array ``k``, with ``kp = max(k, 0)`` and ``kn =
+    max(-k, 0)`` (``k`` negated in place) cast into one float32 ``[kp |
+    kn]`` matrix, exact for these small integers: ``out``, a writeable
+    C-contiguous float32 (rows, 2 * cols) array, if given, else a fresh
+    one.  With ``overwrite``, ``k`` is rounded in ``weights`` itself when
+    that is a writeable float64 array, which is then left holding ``-k``;
+    the programmed levels are the same either way.
 
-    With noise, ``a`` and each noise factor live in one scratch array of
-    ``max(1, _BLOCK // cols)`` rows, filled block by block: plane 0's noise
-    in row order, then plane 1's.  That is the same stream as one
-    ``standard_normal`` draw into the whole buffer, and a float product
-    commutes, so every bit matches the whole-array form, which allocated
-    two tile-sized temporaries per call.  The noiseless path keeps
-    whole-array passes with one tile-sized ``a``: it programs each tile
-    once per set-up, where blocked passes measured slower (mlp set-up
-    58-68 ms went to 79-90 ms on a 2-vCPU VM, with about five times the
-    page faults).
+    A noisy pair's matrices are planes of one ``(2, rows, cols)`` float64
+    buffer: plane 0 is ``g_pos``, plane 1 ``g_neg``.  The signed
+    conductance step ``a`` is the ``weight_levels`` array, divided by
+    ``level_scale`` and multiplied by the span in place; the planes are
+    ``max(a, 0) + g_min`` and ``max(-a, 0) + g_min``.  ``a`` and each noise
+    factor live in one scratch array of ``max(1, _BLOCK // cols)`` rows,
+    filled block by block: plane 0's noise in row order, then plane 1's.
+    That is the same stream as one ``standard_normal`` draw into the whole
+    buffer, and a float product commutes, so every bit matches the
+    whole-array form, which allocated two tile-sized temporaries per call.
     """
+    if not isinstance(model, DeviceModel):
+        raise ContractError(f"model must be a DeviceModel, got {model!r}")
     if not (is_int(seed) and seed >= 0):
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or not w.size:
         raise ContractError(f"weights must be a non-empty (rows, cols) block, not {w.shape}")
+    _check_tile(*w.shape)
     if not (-1.0 <= w.min() and w.max() <= 1.0):  # NaN fails both
         if not np.all(np.isfinite(w)):
             raise ContractError("weights must be finite")
         raise ContractError("weight magnitudes must be pre-scaled to [0, 1]")
 
-    if model.sigma_rel == 0:
-        a = weight_levels(w, model)
-        a /= model.level_scale
-        a *= model.g_max - model.g_min
-        g = np.empty((2,) + w.shape)
-        np.maximum(a, 0.0, out=g[0])
-        np.maximum(np.negative(a, out=a), 0.0, out=g[1])
-        g += model.g_min
-        return ConductancePair(g[0], g[1])
-
     rows, cols = w.shape
+    if out is not None and not (
+            model.sigma_rel == 0 and isinstance(out, np.ndarray) and out.dtype == np.float32
+            and out.shape == (rows, 2 * cols) and out.flags.c_contiguous and out.flags.writeable):
+        raise ContractError(f"out must be a noiseless tile's writeable C-contiguous float32 "
+                            f"{(rows, 2 * cols)} levels")
+    if model.sigma_rel == 0:
+        k = weight_levels(w, model, out=w if overwrite and w.flags.writeable else None)
+        levels = np.empty((rows, 2 * cols), np.float32) if out is None else out
+        np.maximum(k, 0.0, out=levels[:, :cols])
+        np.maximum(np.negative(k, out=k), 0.0, out=levels[:, cols:])
+        return ConductancePair._of_levels(levels, model)
+
     step = max(1, _BLOCK // cols)
     g = np.empty((2, rows, cols))
     scratch = np.empty((min(step, rows), cols))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,3 +378,34 @@ def test_config_validation():
         AdcConfig(c_int=-1e-15)
     with pytest.raises(ContractError):
         AdcConfig(t_int=0.0)
+
+
+@pytest.mark.parametrize("convert", [
+    lambda c: adc_x(1e-6, c), lambda c: convert_analytic(1e-6, c, E2M5),
+    lambda c: convert_analytic_array(np.full(3, 1e-6), c, E2M5),
+    lambda c: int8_baseline_convert(1e-6, c),
+], ids=["adc_x", "convert_analytic", "convert_analytic_array", "int8_baseline_convert"])
+@pytest.mark.parametrize("config", [None, "AdcConfig", 100e-15], ids=repr)
+def test_converters_reject_a_non_config(convert, config):
+    # each reads its x through adc_x, which checks the config's type
+    with pytest.raises(ContractError, match="config must be an AdcConfig"):
+        convert(config)
+
+
+def test_conversion_block_peak_memory():
+    # adc_x's x is its one fresh array (the product, divided in place), and
+    # the converter reads the codes' values into the memory that held the
+    # clamp ``top``: 304 KiB for a 16,384-current block, 432 KiB before
+    # (x twice in adc_x, then x, top and the values at once)
+    i = np.random.default_rng(16).uniform(0, 2e-4, 16384)
+    cfg = AdcConfig()
+    for call, allowed in ((lambda: adc_x(i, cfg), i.nbytes + 4096),
+                          (lambda: convert_analytic_array(i, cfg, E2M5), 2.5 * i.nbytes)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < allowed
+    np.testing.assert_array_equal(adc_x(i, cfg), i * cfg.t_int / (cfg.c_int * V_MID))

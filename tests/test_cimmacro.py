@@ -237,20 +237,33 @@ def test_e3m4_macro_config():
 
 def test_int8_readout_matches_baseline_converter():
     # every code against every level, on both columns of a pair: the INT8
-    # readout is the baseline converter applied to the column currents
-    cfg = small_config(g_min=0.0)
-    levels = np.arange(1, 16) / 15
-    weights = program_weights(np.concatenate([levels, -levels])[None, :], cfg.device)
+    # readout is the baseline converter applied to the column currents,
+    # the float64 products of a noisy tile's planes and the exact-integer
+    # currents of a noiseless tile
+    w = np.concatenate([np.arange(1, 16) / 15, -np.arange(1, 16) / 15])[None, :]
     bits = np.arange(128, dtype=np.uint8)[None, :]
-    res = macro_mac(bits, weights, cfg, readout="int8")
+    for sigma in (0.05, 0.0):
+        cfg = MacroConfig(device=DeviceModel(g_min=0.0, g_max=20e-6, levels=16, sigma_rel=sigma))
+        weights = program_weights(w, cfg.device, seed=2)
+        res = macro_mac(bits, weights, cfg, readout="int8")
 
-    volts = dac_convert_bits(bits, cfg.fmt)
-    pos, under_p, sat_p, _ = int8_baseline_convert(volts.T @ weights.g_pos, cfg.adc)
-    neg, under_n, sat_n, _ = int8_baseline_convert(volts.T @ weights.g_neg, cfg.adc)
-    np.testing.assert_array_equal(res.pos_bits, pos)
-    np.testing.assert_array_equal(res.neg_bits, neg)
-    np.testing.assert_array_equal(res.underflow, under_p & under_n)
-    np.testing.assert_array_equal(res.saturated, sat_p | sat_n)
+        if sigma:
+            volts = dac_convert_bits(bits, cfg.fmt)
+            i_pos, i_neg = volts.T @ weights.g_pos, volts.T @ weights.g_neg
+        else:
+            # one row: S is the code's value, D its q times the cell's level
+            dec = decode_bits(bits, cfg.fmt)[0]
+            k = weight_levels(w, cfg.device)[0]
+            step = cfg.device.g_lsb / cfg.fmt.mant_levels
+            i_pos, i_neg = (V_UNIT[cfg.fmt] * (cfg.device.g_min * dec[:, None]
+                                               + step * np.outer(dec * cfg.fmt.mant_levels, lv))
+                            for lv in (np.maximum(k, 0.0), np.maximum(-k, 0.0)))
+        pos, under_p, sat_p, _ = int8_baseline_convert(i_pos, cfg.adc)
+        neg, under_n, sat_n, _ = int8_baseline_convert(i_neg, cfg.adc)
+        np.testing.assert_array_equal(res.pos_bits, pos)
+        np.testing.assert_array_equal(res.neg_bits, neg)
+        np.testing.assert_array_equal(res.underflow, under_p & under_n)
+        np.testing.assert_array_equal(res.saturated, sat_p | sat_n)
 
 
 def test_non_integer_codes_rejected():
@@ -448,3 +461,21 @@ def test_batches_on_threads_at_once_equal_one_thread():
         for got in runs:
             for g, e in zip(got, want):
                 np.testing.assert_array_equal(g, e)
+
+
+PAIR = program_weights(np.zeros((4, 2)), DeviceModel())
+WRONG_TYPES = {
+    "weights=None": (None, MacroConfig()),
+    "weights=array": (np.zeros((4, 2)), MacroConfig()),
+    "config=None": (PAIR, None),
+    "config=adc": (PAIR, AdcConfig()),
+    "config=device": (PAIR, DeviceModel()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_macro_mac_rejects_wrong_types(name):
+    # at the boundary, not as an AttributeError inside
+    weights, config = WRONG_TYPES[name]
+    with pytest.raises(ContractError, match="must be a"):
+        macro_mac(np.zeros((4, 1), dtype=np.uint8), weights, config)

@@ -644,3 +644,30 @@ def test_calibrate_contracts():
         calibrate(TilePlan(4, 3), bank, bits)
     with pytest.raises(ContractError, match="expects 4 input rows"):
         calibrate(plan, bank, bits[:3])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_build_programs_each_tile_as_program_weights_does(sigma):
+    # the reused division buffer, the in-place rounding and the bank's one
+    # level allocation change no bit and leave the caller's weights alone;
+    # a wide matrix with ragged row and column tails
+    rng = np.random.default_rng(9)
+    w = rng.uniform(-2, 2, (MAX_ROWS + 37, MAX_COLS + 20))
+    kept = w.copy()
+    cfg = MacroConfig(device=DeviceModel(sigma_rel=sigma))
+    plan = TilePlan(*w.shape)
+    bank = MacroBank.build(plan, w, cfg, seed=4)
+    np.testing.assert_array_equal(w, kept)
+    for t in plan.tiles:
+        scale = bank[t.id].weight_scale
+        assert scale == np.max(np.abs(w[:, t.col_start : t.col_stop]))
+        want = program_weights(w[t.row_start : t.row_stop, t.col_start : t.col_stop] / scale,
+                               cfg.device, seed=4 + t.id)
+        got = bank[t.id].pair
+        assert got.shape == (t.rows, t.cols)
+        if sigma:
+            np.testing.assert_array_equal(got.g_pos, want.g_pos)
+            np.testing.assert_array_equal(got.g_neg, want.g_neg)
+        else:
+            assert got.levels.flags.c_contiguous
+            np.testing.assert_array_equal(got.levels, want.levels)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -6,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcim.cimmacro import MacroConfig, _column_currents, macro_mac
-from fpcim.dac import dac_convert_bits
+from fpcim.cimmacro import MacroConfig, _column_currents, _exact_dtype, _level_sums, macro_mac
+from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
-from fpcim.fpcodec import _BLOCK
+from fpcim.fpcodec import _BLOCK, E2M5, E3M4, decode_bits
 from fpcim.xbar import (
     ConductancePair,
     DeviceModel,
@@ -90,19 +92,44 @@ def column_currents(bits, g):
     return _column_currents(bits, None, ConductancePair(g, np.zeros_like(g)), MacroConfig())[0]
 
 
+def exact_currents(bits, signs, w, device, fmt):
+    """Noiseless currents from their integers: V_UNIT * (g_min * S + (g_lsb / M) * D).
+
+    ``D`` is summed in float64 from the levels programming rounds ``w`` to,
+    each term an integer and every sum far below 2^53, so exactly; the
+    sign split is ``np.where``.
+    """
+    k = weight_levels(w, device)
+    kp, kn = np.maximum(k, 0.0), np.maximum(-k, 0.0)
+    dec = decode_bits(bits, fmt)
+    q = dec * fmt.mant_levels
+    signs = np.zeros(bits.shape, bool) if signs is None else signs
+    q_f, q_r = np.where(signs, 0.0, q), np.where(signs, q, 0.0)
+    g_min_s = device.g_min * dec.sum(axis=0)[:, None]
+    step = device.g_lsb / fmt.mant_levels
+    return tuple(V_UNIT[fmt] * (g_min_s + step * d)
+                 for d in (q_f.T @ kp + q_r.T @ kn, q_f.T @ kn + q_r.T @ kp))
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.integers(1, 576), st.integers(1, 256), st.integers(1, 300), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_currents_into_scratch_equal_fresh_matmuls(rows, cols, n, signed, seed):
-    # the matmuls write into given and scratch arrays; every current is the
-    # same bits as the fresh products of the two-phase form, gemv shapes included
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_currents_into_scratch_equal_fresh_matmuls(rows, cols, n, signed, noisy, seed):
+    # the currents are written into given and scratch arrays; every current
+    # is the same bits as the fresh products of the two-phase form on a
+    # noisy tile, gemv shapes included, and as the exact-integer expression
+    # on a noiseless one
     rng = np.random.default_rng(seed)
-    pair = program_weights(rng.uniform(-1, 1, (rows, cols)), DeviceModel())
+    w = rng.uniform(-1, 1, (rows, cols))
+    device = DeviceModel(sigma_rel=0.05 if noisy else 0.0)
+    pair = program_weights(w, device, seed=seed)
     bits = rng.integers(0, 128, (rows, n)).astype(np.uint8)
     signs = rng.random((rows, n)) < 0.5 if signed else None
-    config = MacroConfig()
+    config = MacroConfig(device=device)
     volts = dac_convert_bits(bits, config.fmt)
-    if signs is None:
+    if not noisy:
+        want = exact_currents(bits, signs, w, device, config.fmt)
+    elif signs is None:
         want = (volts.T @ pair.g_pos, volts.T @ pair.g_neg)
     else:
         fwd, rev = np.where(signs, 0.0, volts), np.where(signs, volts, 0.0)
@@ -188,10 +215,12 @@ def test_device_model_validation():
         DeviceModel(g_min=5e-6, g_max=1e-6)
     with pytest.raises(ContractError):
         DeviceModel(levels=1)
-    for levels in (None, 2.5, 16.0, "16", True):  # a level count is an integer
+    # a level count is an integer, and each level is exact in float32
+    for levels in (None, 2.5, 16.0, "16", True, 2**24 + 1):
         with pytest.raises(ContractError, match="levels"):
             DeviceModel(levels=levels)
     assert DeviceModel(levels=np.int64(16)).level_scale == 15.0
+    assert DeviceModel(levels=2**24).level_scale == 2**24 - 1
     with pytest.raises(ContractError):
         DeviceModel(sigma_rel=-0.1)
 
@@ -345,9 +374,9 @@ def where_form_currents(bits, signs, weights, config):
 
 @pytest.mark.parametrize("case", ["random", "all_set", "none_set", "zero_codes_set"])
 def test_sign_split_by_product_equals_where_form(case):
+    # the float64 split on a noisy tile, the exact-integer one on a noiseless tile
     rng = np.random.default_rng(11)
-    cfg = MacroConfig()
-    pair = program_weights(rng.uniform(-1, 1, (144, 32)), cfg.device)
+    w = rng.uniform(-1, 1, (144, 32))
     codes = rng.integers(0, 128, (144, 40))
     signs = rng.random((144, 40)) < 0.5
     if case == "all_set":
@@ -357,10 +386,16 @@ def test_sign_split_by_product_equals_where_form(case):
     elif case == "zero_codes_set":
         codes[::3] = 0
         signs[::3] = True
-    got = _column_currents(codes, signs, pair, cfg)
-    want = where_form_currents(codes, signs, pair, cfg)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(int_bits(g), int_bits(w))
+    for device in (DeviceModel(sigma_rel=0.05), DeviceModel()):
+        cfg = MacroConfig(device=device)
+        pair = program_weights(w, device, seed=3)
+        got = _column_currents(codes, signs, pair, cfg)
+        if device.sigma_rel:
+            want = where_form_currents(codes, signs, pair, cfg)
+        else:
+            want = exact_currents(codes, signs, w, device, cfg.fmt)
+        for g, e in zip(got, want):
+            np.testing.assert_array_equal(int_bits(g), int_bits(e))
 
 
 def test_out_of_range_weight_messages():
@@ -380,3 +415,129 @@ def test_nan_conductances_rejected():
         ConductancePair(ok, np.where(np.eye(2, dtype=bool), math.nan, 1e-6))
     with pytest.raises(ContractError):
         ConductancePair(ok, -ok)
+
+
+# ------------------------------------------------------- noiseless levels
+
+def test_noiseless_pair_holds_its_levels_and_derives_its_planes():
+    # one read-only float32 [kp | kn] matrix and no planes: each read derives
+    # a fresh pair of planes with the noiseless formula's bits
+    w = np.random.default_rng(12).uniform(-1, 1, (37, 5))
+    pair = program_weights(w, NOISELESS)
+    k = weight_levels(w, NOISELESS)
+    assert pair.levels.dtype == np.float32 and pair.levels.shape == (37, 10)
+    assert pair.levels.flags.c_contiguous and not pair.levels.flags.writeable
+    assert pair.device == NOISELESS and pair.shape == (37, 5)
+    np.testing.assert_array_equal(pair.levels, np.hstack([np.maximum(k, 0), np.maximum(-k, 0)]))
+    assert pair.g_pos is not pair.g_pos and not np.shares_memory(pair.g_pos, pair.levels)
+    want_pos, want_neg = two_draw_program(w, NOISELESS, seed=0)
+    np.testing.assert_array_equal(int_bits(pair.g_pos), int_bits(want_pos))
+    top = DeviceModel(levels=2**24)  # the largest level count: odd levels above 2^23 too
+    np.testing.assert_array_equal(program_weights([[1.0, -(2**24 - 3) / (2**24 - 1)]], top).levels,
+                                  [[2**24 - 1, 0, 0, 2**24 - 3]])
+    noisy = program_weights(w, DeviceModel(sigma_rel=0.05))
+    assert noisy.levels is None and noisy.device is None and noisy.g_pos is noisy.g_pos
+    for p in (pair, noisy):  # a tile of a bank cannot change under it, and copies as before
+        for name in ("levels", "device", "g_pos", "_planes"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert (twin.levels is None) == (p.levels is None) and twin.device == p.device
+            np.testing.assert_array_equal(twin.g_pos, p.g_pos)
+            np.testing.assert_array_equal(twin.g_neg, p.g_neg)
+
+
+def test_program_levels_into_out_rounding_in_place():
+    # build's path: the tile is rounded in its own buffer and the levels
+    # written into the caller's array, so nothing tile-sized is allocated
+    # (only the casting loops' buffers, about 64 KiB)
+    rng = np.random.default_rng(13)
+    w = rng.uniform(-1, 1, (576, 256))
+    want = program_weights(w, NOISELESS).levels
+    tile, out = w.copy(), np.empty((576, 512), np.float32)
+    tracemalloc.start()
+    try:
+        pair = program_weights(tile, NOISELESS, overwrite=True, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes / 8
+    assert pair.levels is out
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(tile, -weight_levels(w, NOISELESS))
+    # without overwrite the weights are left as they are
+    kept = w.copy()
+    program_weights(w, NOISELESS, out=np.empty((576, 512), np.float32))
+    np.testing.assert_array_equal(w, kept)
+
+
+@pytest.mark.parametrize("out, sigma", [
+    (np.empty((4, 4), np.float32), 0.05),  # a noisy tile has no levels
+    (np.empty((4, 4)), 0.0),
+    (np.empty((4, 2), np.float32), 0.0),
+    (np.empty((4, 8), np.float32)[:, ::2], 0.0),
+    ([[0.0] * 4] * 4, 0.0),
+], ids=["noisy", "float64", "shape", "strided", "list"])
+def test_program_out_must_be_a_noiseless_tiles_levels(out, sigma):
+    with pytest.raises(ContractError, match="out must be"):
+        program_weights(np.zeros((4, 2)), DeviceModel(sigma_rel=sigma), out=out)
+
+
+@pytest.mark.parametrize("model", [None, "noiseless", MacroConfig()], ids=repr)
+def test_program_weights_rejects_a_non_device(model):
+    with pytest.raises(ContractError, match="model must be a DeviceModel"):
+        program_weights(np.zeros((2, 2)), model)
+
+
+def level_sums(bits, signs, w, fmt):
+    """(S, D) of a noiseless tile of weights ``w``, D as its (2, n, cols) planes."""
+    d = np.empty((2, bits.shape[1], w.shape[1]))
+    return _level_sums(bits, signs, program_weights(w, NOISELESS), fmt, d), d
+
+
+@pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_noiseless_level_sums_do_not_depend_on_the_row_split(fmt, signed):
+    # D is an integer sum, exact in float32 (E2M5) or float64 (E3M4) in any
+    # order: it is the int64 sum, and the row tiles of a split, summed,
+    # give the whole tile's bits
+    assert _exact_dtype(fmt, NOISELESS) == (np.float32 if fmt == E2M5 else np.float64)
+    rng = np.random.default_rng(14)
+    w = rng.uniform(-1, 1, (576, 48))
+    bits = rng.integers(0, 128, (576, 70)).astype(np.uint8)
+    bits[:, 0] = 127  # one vector at the top code on every row: the largest D
+    signs = rng.random((576, 70)) < 0.5 if signed else np.zeros((576, 70), bool)
+    signs_in = signs if signed else None
+    whole_s, whole_d = level_sums(bits, signs_in, w, fmt)
+    q = (decode_bits(bits, fmt) * fmt.mant_levels).astype(np.int64)
+    k = weight_levels(w, NOISELESS).astype(np.int64)
+    kp, kn = np.maximum(k, 0), np.maximum(-k, 0)
+    q_f, q_r = np.where(signs, 0, q), np.where(signs, q, 0)
+    np.testing.assert_array_equal(whole_d, [q_f.T @ kp + q_r.T @ kn, q_f.T @ kn + q_r.T @ kp])
+    for cuts in ([1], [100], [288], [575], [97, 300, 450], list(range(64, 576, 64))):
+        s, d = np.zeros_like(whole_s), np.zeros_like(whole_d)
+        for lo, hi in zip([0] + cuts, cuts + [576]):
+            part_s, part_d = level_sums(bits[lo:hi], None if signs_in is None else signs[lo:hi],
+                                        w[lo:hi], fmt)
+            s += part_s
+            d += part_d
+        np.testing.assert_array_equal(s, whole_s)
+        np.testing.assert_array_equal(d.view(np.uint8), whole_d.view(np.uint8))
+
+
+@pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
+@pytest.mark.parametrize("shape", [(576, 256, 64), (144, 64, 1024), (576, 10, 4), (37, 5, 9)],
+                         ids=repr)
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_exact_currents_are_within_ulps_of_float64_products(fmt, shape, signed):
+    # the float64 products of the derived planes, each term and sum rounded,
+    # land within a few ulp of the exact currents (at most 12 on these cases)
+    rows, cols, n = shape
+    rng = np.random.default_rng(15)
+    cfg = MacroConfig(fmt)
+    pair = program_weights(rng.uniform(-1, 1, (rows, cols)), cfg.device)
+    bits = rng.integers(0, 128, (rows, n)).astype(np.uint8)
+    signs = rng.random((rows, n)) < 0.5 if signed else np.zeros((rows, n), bool)
+    got = _column_currents(bits, signs if signed else None, pair, cfg)
+    for g, want in zip(got, where_form_currents(bits, signs, pair, cfg)):
+        assert np.all(np.abs(g - want) <= 16 * np.spacing(want))
