@@ -238,10 +238,10 @@ class MacroBank:
         ``max(max, -min)`` with no ``|w|`` copy (1 for an all-zero block).
         A matrix wider than one block is first reduced to per-column maxima
         and minima in row passes, where a block's column slice would be
-        read strided.  Every tile is divided into one reused buffer, which
-        a noiseless programming rounds in place, and a noiseless bank's
-        levels are views of one allocation: with one fresh array per tile,
-        every other repeated mlp set-up faulted its levels' pages in anew.
+        read strided.  Every tile is divided into one reused buffer, and a
+        noiseless bank's levels are views of one allocation: with one fresh
+        array per tile, every other repeated mlp set-up faulted its levels'
+        pages in anew.
         ``seed`` must be a non-negative integer; tile ``t`` is programmed
         with the Python int ``seed + t.id``.
         """
@@ -268,8 +268,7 @@ class MacroBank:
                                  out=buffer[:size].reshape(t.rows, t.cols))
                 out = None if levels is None else levels[2 * at : 2 * (at + size)].reshape(t.rows, -1)
                 at += size
-                pair = program_weights(tile, config.device, seed=seed + t.id, overwrite=True,
-                                       out=out)
+                pair = program_weights(tile, config.device, seed=seed + t.id, out=out)
                 tiles.append(ProgrammedTile(pair, beta))
         return cls(plan, config, tuple(tiles))
 

@@ -13,9 +13,9 @@ then ``g_min + k * g_lsb`` with an integer ``k``, so a noiseless tile is
 stored as its integer levels, one float32 ``[kp | kn]`` matrix, and its
 conductance planes are derived from them on every read; the macro sums
 with the integers themselves (``cimmacro``).  A noisy tile is its two
-float64 conductance planes, programmed in row blocks through one
-block-sized scratch array, so a Monte Carlo trial allocates nothing
-tile-sized beside the returned conductances (see ``program_weights``).
+float64 conductance planes.  Both are programmed in row blocks through
+one block-sized scratch array, so programming allocates nothing
+tile-sized beside what it returns (see ``program_weights``).
 
 Column currents follow Ohm's law and Kirchhoff's current law with the
 source line clamped: the model works with the current magnitude entering
@@ -46,10 +46,7 @@ MAX_COLS = 256
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Programmable-conductance device parameters (siemens).
-
-    ``levels`` is at most 2^24, so every level is exact in float32.
-    """
+    """Programmable-conductance device parameters (siemens)."""
 
     g_min: float = 0.5e-6
     g_max: float = 20e-6
@@ -60,8 +57,8 @@ class DeviceModel:
         if not (is_real(self.g_min) and is_real(self.g_max)
                 and 0 <= self.g_min < self.g_max < np.inf):
             raise ContractError("need 0 <= g_min < g_max < inf")
-        if not (is_int(self.levels) and 2 <= self.levels <= 2**24):
-            raise ContractError(f"levels must be an integer in 2..2^24, got {self.levels!r}")
+        if not (is_int(self.levels) and self.levels >= 2):
+            raise ContractError(f"levels must be an integer >= 2, got {self.levels!r}")
         if not (is_real(self.sigma_rel) and 0 <= self.sigma_rel < np.inf):
             raise ContractError("sigma_rel must be finite and non-negative")
 
@@ -103,6 +100,7 @@ class ConductancePair:
 
     @classmethod
     def _of_levels(cls, levels: np.ndarray, device: "DeviceModel") -> "ConductancePair":
+        _check_tile(levels.shape[0], levels.shape[1] // 2)
         pair = cls.__new__(cls)
         levels.flags.writeable = False
         vars(pair).update(_planes=None, levels=levels, device=device)
@@ -156,7 +154,7 @@ def weight_levels(weights: np.ndarray, model: DeviceModel, out: np.ndarray | Non
 
 
 def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0,
-                    overwrite: bool = False, out: np.ndarray | None = None) -> ConductancePair:
+                    out: np.ndarray | None = None) -> ConductancePair:
     """Program a (rows, cols) block of weights, |w| <= 1, into a differential pair.
 
     Weights are rounded to the device's conductance levels; programming
@@ -164,34 +162,37 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0,
     drawn from the given seed, clamped back into [g_min, g_max].  The seed
     must be a non-negative integer at every ``sigma_rel``.
 
-    A noiseless pair holds its integer levels (``ConductancePair``): the
-    ``weight_levels`` array ``k``, with ``kp = max(k, 0)`` and ``kn =
-    max(-k, 0)`` (``k`` negated in place) cast into one float32 ``[kp |
-    kn]`` matrix, exact for these small integers: ``out``, a writeable
-    C-contiguous float32 (rows, 2 * cols) array, if given, else a fresh
-    one.  With ``overwrite``, ``k`` is rounded in ``weights`` itself when
-    that is a writeable float64 array, which is then left holding ``-k``;
-    the programmed levels are the same either way.
+    The ``weight_levels`` array ``k`` is rounded in row blocks into one
+    scratch array of ``max(1, _BLOCK // cols)`` rows.  A noiseless pair
+    holds its integer levels (``ConductancePair``): ``kp = max(k, 0)`` and
+    ``kn = max(-k, 0)`` (``k`` negated in place) cast into one float32
+    ``[kp | kn]`` matrix, exact for integers up to 2^24, so a noiseless
+    device must have at most 2^24 levels.  The matrix is ``out``, a
+    writeable C-contiguous float32 (rows, 2 * cols) array, if given, else
+    a fresh one.
 
     A noisy pair's matrices are planes of one ``(2, rows, cols)`` float64
-    buffer: plane 0 is ``g_pos``, plane 1 ``g_neg``.  The signed
-    conductance step ``a`` is the ``weight_levels`` array, divided by
-    ``level_scale`` and multiplied by the span in place; the planes are
-    ``max(a, 0) + g_min`` and ``max(-a, 0) + g_min``.  ``a`` and each noise
-    factor live in one scratch array of ``max(1, _BLOCK // cols)`` rows,
-    filled block by block: plane 0's noise in row order, then plane 1's.
-    That is the same stream as one ``standard_normal`` draw into the whole
-    buffer, and a float product commutes, so every bit matches the
-    whole-array form, which allocated two tile-sized temporaries per call.
+    buffer: plane 0 is ``g_pos``, plane 1 ``g_neg``.  Each block of ``k``
+    is divided by ``level_scale`` and multiplied by the span in place,
+    giving the signed conductance step ``a``; the planes are ``max(a, 0) +
+    g_min`` and ``max(-a, 0) + g_min``.  Each noise factor lives in the
+    same scratch array, filled block by block: plane 0's noise in row
+    order, then plane 1's.  That is the same stream as one
+    ``standard_normal`` draw into the whole buffer, and a float product
+    commutes, so every bit matches the whole-array form, which allocated
+    two tile-sized temporaries per call.
     """
     if not isinstance(model, DeviceModel):
         raise ContractError(f"model must be a DeviceModel, got {model!r}")
     if not (is_int(seed) and seed >= 0):
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
+    noiseless = model.sigma_rel == 0
+    if noiseless and model.levels > 2**24:
+        raise ContractError(f"a noiseless device stores float32 levels: levels must be "
+                            f"at most 2^24, got {model.levels}")
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or not w.size:
         raise ContractError(f"weights must be a non-empty (rows, cols) block, not {w.shape}")
-    _check_tile(*w.shape)
     if not (-1.0 <= w.min() and w.max() <= 1.0):  # NaN fails both
         if not np.all(np.isfinite(w)):
             raise ContractError("weights must be finite")
@@ -199,27 +200,29 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0,
 
     rows, cols = w.shape
     if out is not None and not (
-            model.sigma_rel == 0 and isinstance(out, np.ndarray) and out.dtype == np.float32
+            noiseless and isinstance(out, np.ndarray) and out.dtype == np.float32
             and out.shape == (rows, 2 * cols) and out.flags.c_contiguous and out.flags.writeable):
         raise ContractError(f"out must be a noiseless tile's writeable C-contiguous float32 "
                             f"{(rows, 2 * cols)} levels")
-    if model.sigma_rel == 0:
-        k = weight_levels(w, model, out=w if overwrite and w.flags.writeable else None)
+    if noiseless:
         levels = np.empty((rows, 2 * cols), np.float32) if out is None else out
-        np.maximum(k, 0.0, out=levels[:, :cols])
-        np.maximum(np.negative(k, out=k), 0.0, out=levels[:, cols:])
-        return ConductancePair._of_levels(levels, model)
-
+        pos, neg = levels[:, :cols], levels[:, cols:]
+    else:
+        g = np.empty((2, rows, cols))
+        pos, neg = g
     step = max(1, _BLOCK // cols)
-    g = np.empty((2, rows, cols))
     scratch = np.empty((min(step, rows), cols))
     blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
     for lo, hi in blocks:
         a = weight_levels(w[lo:hi], model, out=scratch[: hi - lo])
-        a /= model.level_scale
-        a *= model.g_max - model.g_min
-        np.maximum(a, 0.0, out=g[0, lo:hi])
-        np.maximum(np.negative(a, out=a), 0.0, out=g[1, lo:hi])
+        if not noiseless:
+            a /= model.level_scale
+            a *= model.g_max - model.g_min
+        np.maximum(a, 0.0, out=pos[lo:hi])
+        np.maximum(np.negative(a, out=a), 0.0, out=neg[lo:hi])
+    if noiseless:
+        return ConductancePair._of_levels(levels, model)
+
     g += model.g_min
     rng = np.random.default_rng(seed)
     for plane in g:

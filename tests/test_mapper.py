@@ -648,8 +648,8 @@ def test_calibrate_contracts():
 
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 def test_build_programs_each_tile_as_program_weights_does(sigma):
-    # the reused division buffer, the in-place rounding and the bank's one
-    # level allocation change no bit and leave the caller's weights alone;
+    # the reused division buffer and the bank's one level allocation
+    # change no bit and leave the caller's weights alone;
     # a wide matrix with ragged row and column tails
     rng = np.random.default_rng(9)
     w = rng.uniform(-2, 2, (MAX_ROWS + 37, MAX_COLS + 20))
