@@ -159,6 +159,8 @@ def charge_share(v_o: float, c_active: float, c_next: float, v_reset: float = 0.
     Exact charge conservation:
     ``(c_active * v_o + c_next * v_reset) / (c_active + c_next)``.
     """
+    if not all(is_real(v) for v in (v_o, c_active, c_next, v_reset)):
+        raise ContractError("charge_share takes real voltages and capacitances")
     return (c_active * v_o + c_next * v_reset) / (c_active + c_next)
 
 
@@ -170,8 +172,8 @@ def single_slope(v_m: float, fmt: FpFormat) -> int:
     i.e. ceiling rounding clamped to the top step.
     """
     check_format(fmt)
-    if not (V_MID <= v_m < V_TH):
-        raise ContractError(f"sampled voltage {v_m} outside [{V_MID}, {V_TH})")
+    if not (is_real(v_m) and V_MID <= v_m < V_TH):
+        raise ContractError(f"sampled voltage {v_m!r} outside [{V_MID}, {V_TH})")
     step = (V_TH - V_MID) / fmt.mant_levels
     k = math.ceil((v_m - V_MID) / step)
     return min(max(k, 0), fmt.mant_levels - 1)
@@ -249,9 +251,8 @@ def simulate_transient(i_mac, config: AdcConfig, fmt: FpFormat) -> AdcResult:
     """
     if np.ndim(i_mac) != 0:
         raise ContractError(f"the transient takes one scalar current, not shape {np.shape(i_mac)}")
+    adc_x(i_mac, config)  # ContractError unless an AdcConfig and a current >= 0, not NaN
     i = float(i_mac)
-    if not i >= 0:
-        raise ContractError("MAC currents must be non-negative and not NaN")
 
     bank = config.cap_bank(fmt)
     v = V_RESET

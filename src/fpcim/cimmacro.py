@@ -28,27 +28,30 @@ then runs the per-column chain after them (conversion of both columns,
 read-back, subtraction, scaling, flags) over blocks of about
 ``fpcodec._BLOCK`` column results, so its temporaries stay cache-sized.
 
-A noiseless tile holds integer levels ``k`` (``xbar.ConductancePair``),
-and ``q = mant_levels * decode(code)`` is an integer too, so its currents
-are computed exactly: ``i = V_UNIT * (g_min * S + (g_lsb / mant_levels) *
-D)``, with ``S`` each vector's sum of decoded inputs and ``D = sum q * k``
-from one matmul of the ``[kp | kn]`` levels per input phase (signed
-inputs add the reverse phase's product with its halves swapped).  ``D``
-is at most ``max_value * mant_levels * (levels - 1) * MAX_ROWS``; below
-2^24 (E2M5 at 16 levels: 4,354,560) every partial sum is an integer
-float32 holds exactly, above it (E3M4: 34,283,520) the operands are
-float64 integers (``D`` stays far below 2^53 with at most 2^24 levels),
-so ``D`` is the same bits in any summation order, blocking and row split
-alike.  A noisy tile's currents are float64 ``volts.T @ g`` matmuls of
-its planes, not blocked: splitting their vector dimension changes how
-BLAS sums, and so the currents' last bits.
+Every tile is two planes, its positive and its negative columns
+(``xbar.ConductancePair``), and its currents come from one two-phase sum
+(``_two_phase``): ``x_f . pos + x_r . neg`` and ``x_f . neg + x_r . pos``,
+with ``x_f`` and ``x_r`` the inputs of the forward (sign clear) and the
+reverse (sign set) phases.  A noisy tile sums the DAC's voltages with its
+float64 conductance planes, four whole-tile matmuls when signed and two
+when not, none blocked: splitting their vector dimension changes how BLAS
+sums, and so the currents' last bits.  A noiseless tile holds integer
+levels ``k``, and ``q = mant_levels * decode(code)`` is an integer too, so
+its currents are computed exactly: ``i = V_UNIT * (g_min * S + (g_lsb /
+mant_levels) * D)``, with ``S`` each vector's sum of decoded inputs and
+``D`` the two-phase sum of ``q`` and the level planes.  ``D`` is at most
+``max_value * mant_levels * (levels - 1) * MAX_ROWS``; below 2^24 (E2M5 at
+16 levels: 4,354,560) every partial sum is an integer float32 holds
+exactly, above it (E3M4: 34,283,520) the operands are float64 integers
+(``D`` stays far below 2^53 with at most 2^24 levels), so ``D`` is the same
+bits in any summation order, blocking and row split alike.
 
 The tile-sized temporaries that never leave a call, the decoded inputs or
 voltages, the integer operands and sums, the two current planes and the
-noisy signed path's matmul product, live in one grow-only set of scratch
-buffers per thread (``_scratch``): a freed and retaken tile-sized array
-costs its pages' faults on every call (about 1,000 per cnn bench batch),
-a reused one none.  Every array a function of this module returns is
+signed sum's reverse inputs and matmul product, live in one grow-only set
+of scratch buffers per thread (``_scratch``): a freed and retaken
+tile-sized array costs its pages' faults on every call (about 1,000 per
+cnn bench batch), a reused one none.  Every array a function of this module returns is
 fresh, or the caller's own ``out``, and none is a view of the scratch.
 """
 
@@ -144,14 +147,15 @@ def converter(readout: str, fmt: FpFormat) -> Converter:
 
 def scale_chain(config: MacroConfig) -> float:
     """x value of one dot-product unit: V_UNIT[fmt] * g_lsb * t_int / (c_int * V_MID)."""
+    if not isinstance(config, MacroConfig):
+        raise ContractError(f"config must be a MacroConfig, got {config!r}")
     return V_UNIT[config.fmt] * config.device.g_lsb * config.adc.t_int / (config.adc.c_int * V_MID)
 
 
 def _signed_levels(weights: ConductancePair, device: DeviceModel) -> np.ndarray:
     """Signed levels of a tile: a noiseless tile's own, else read back from its pair."""
     if weights.levels is not None:
-        cols = weights.shape[1]
-        return np.subtract(weights.levels[:, :cols], weights.levels[:, cols:], dtype=float)
+        return np.subtract(weights.levels[0], weights.levels[1], dtype=float)
     return np.rint((weights.g_pos - weights.g_neg) / device.g_lsb)
 
 
@@ -227,43 +231,40 @@ def _column_currents(bits, signs, weights: ConductancePair, config: MacroConfig,
     """(i_pos, i_neg), each (n, cols): the currents of both columns of every pair.
 
     The currents are the two planes of ``out``, a C-contiguous (2, n, cols)
-    float64 array, if given, else of one fresh array.  A noiseless tile's
-    are ``V_UNIT * (g_min * S + (g_lsb / mant_levels) * D)`` from its exact
-    sums (``_level_sums``, which writes ``D`` into ``out``) in float64, in
-    that order of operations, with its own device's ``g_min`` and
-    ``g_lsb``.  A noisy tile's are the DAC's voltages times its planes, 2
-    (unsigned) or 4 (signed) whole-tile float64 matmuls, each writing a
-    C-contiguous (n, cols) array, as it would a fresh one.  Every
-    temporary lives in this thread's scratch (``_scratch``), so a repeated
-    call of one shape allocates nothing else.
+    float64 array, if given, else of one fresh array.  A noisy tile's are
+    the two-phase sum (``_two_phase``) of the DAC's voltages and its
+    conductance planes.  A noiseless tile's are ``V_UNIT * (g_min * S +
+    (g_lsb / mant_levels) * D)`` in float64, in that order of operations,
+    with its own device's ``g_min`` and ``g_lsb``: ``D`` is the two-phase
+    sum of ``q = mant_levels * decode(code)`` and its level planes in
+    ``_exact_dtype``, cast into ``out`` before the scaling, since a float32
+    array times a Python float computes in float32 even into a float64
+    ``out`` (NEP 50).  Every temporary lives in this thread's scratch
+    (``_scratch``), so a repeated call of one shape allocates nothing else.
     """
     rows, n = bits.shape
     if out is None:
         out = np.empty((2, n, weights.shape[1]))
-    i_pos, i_neg = out
-    if weights.levels is not None:
-        device = weights.device
-        s = _level_sums(bits, signs, weights, config.fmt, out)
-        g_min_s = np.multiply(s, device.g_min, out=s)[:, None]
-        for i in out:
-            i *= device.g_lsb / config.fmt.mant_levels
-            i += g_min_s
-            i *= V_UNIT[config.fmt]
-        return i_pos, i_neg
-    volts = dac_convert_bits(bits, config.fmt, out=_scratch("inputs", (rows, n)))
-    if signs is None:
-        np.matmul(volts.T, weights.g_pos, out=i_pos)
-        np.matmul(volts.T, weights.g_neg, out=i_neg)
-        return i_pos, i_neg
-    # +0.0 where the sign is clear: volts are finite, >= 0
-    v_rev = np.multiply(volts, signs, out=_scratch("v_rev", (rows, n)))
-    volts -= v_rev  # exactly 0 where the sign is set: the forward phase
-    product = _scratch("product", i_pos.shape)
-    np.matmul(volts.T, weights.g_pos, out=i_pos)
-    i_pos += np.matmul(v_rev.T, weights.g_neg, out=product)
-    np.matmul(volts.T, weights.g_neg, out=i_neg)
-    i_neg += np.matmul(v_rev.T, weights.g_pos, out=product)
-    return i_pos, i_neg
+    if weights.levels is None:
+        volts = dac_convert_bits(bits, config.fmt, out=_scratch("inputs", (rows, n)))
+        _two_phase(volts, signs, (weights.g_pos, weights.g_neg), out)
+        return out[0], out[1]
+    device, fmt = weights.device, config.fmt
+    dtype = _exact_dtype(fmt, device)
+    dec = fpcodec.decode_bits(bits, fmt, out=_scratch("inputs", (rows, n)))
+    s = dec.sum(axis=0)  # multiples of 2^-M far below 2^53: exact in any order
+    q = np.multiply(dec, fmt.mant_levels, out=_scratch("q", (rows, n), dtype))
+    k = weights.levels
+    if k.dtype != dtype:  # float64 integer operands
+        k = _scratch("levels", k.shape, dtype)
+        np.copyto(k, weights.levels)
+    np.copyto(out, _two_phase(q, signs, k, _scratch("sums", out.shape, dtype)))
+    g_min_s = np.multiply(s, device.g_min, out=s)[:, None]
+    for i in out:
+        i *= device.g_lsb / fmt.mant_levels
+        i += g_min_s
+        i *= V_UNIT[fmt]
+    return out[0], out[1]
 
 
 def _exact_dtype(fmt: FpFormat, device: DeviceModel):
@@ -272,47 +273,29 @@ def _exact_dtype(fmt: FpFormat, device: DeviceModel):
     return np.float32 if bound < 2**24 else np.float64
 
 
-def _level_sums(bits, signs, weights: ConductancePair, fmt: FpFormat, out):
-    """``S`` of a noiseless tile, a fresh (n,) array; its ``D`` goes into ``out``.
+def _two_phase(x, signs, planes, out):
+    """``out``, holding ``x_f . pos + x_r . neg`` in plane 0 and ``x_f . neg + x_r . pos`` in 1.
 
-    ``S`` is each vector's sum of decoded inputs over every row.  With ``q
-    = mant_levels * decode(code)``, ``D_pos = q_f . kp + q_r . kn`` and
-    ``D_neg = q_f . kn + q_r . kp`` are written into the two (n, cols)
-    float64 planes of ``out``, ``q_f`` and ``q_r`` the forward (sign clear)
-    and reverse (sign set) phases' inputs, ``q_r`` zero without signs.
-    Each phase is one matmul of its half of the ``[q_f | q_r]`` operand
-    with the ``[kp | kn]`` levels into one (n, 2 * cols) product, the
-    reverse phase's halves added swapped.  Every term is a non-negative
-    integer and every sum is below 2^24 in float32 (``_exact_dtype``), or
-    in float64, so each is exact.
+    ``x`` is a (rows, n) scratch array of finite non-negative inputs,
+    ``planes`` the tile's ``(pos, neg)``, each (rows, cols), and ``out`` a
+    C-contiguous (2, n, cols) array of their dtype.  ``x_f`` and ``x_r``
+    are the forward (sign clear) and reverse (sign set) phases' inputs.
+    Without signs ``x_r`` is zero and each plane is one matmul; with signs
+    ``x`` is split in place, ``x_r = x * signs`` and ``x -= x_r``, and each
+    plane is its forward matmul plus its reverse one.  Every matmul writes
+    a C-contiguous (n, cols) array, as it would a fresh one.
     """
-    rows, n = bits.shape
-    cols = weights.shape[1]
-    dtype = _exact_dtype(fmt, weights.device)
-    dec = fpcodec.decode_bits(bits, fmt, out=_scratch("inputs", (rows, n)))
-    s = dec.sum(axis=0)  # multiples of 2^-M far below 2^53: exact in any order
-    q = _scratch("q", (rows, n if signs is None else 2 * n), dtype)
-    np.multiply(dec, fmt.mant_levels, out=q[:, :n])
-    k = weights.levels
-    if k.dtype != dtype:  # float64 integer operands
-        k = _scratch("levels", k.shape, dtype)
-        np.copyto(k, weights.levels)
-    d = _scratch("sums", (n, 2 * cols), dtype)
-    d_pos, d_neg = out
+    pos, neg = planes
     if signs is not None:
-        rev = np.multiply(q[:, :n], signs, out=q[:, n:])
-        q[:, :n] -= rev
-        np.matmul(rev.T, k, out=d)
-        np.copyto(d_pos, d[:, cols:])
-        np.copyto(d_neg, d[:, :cols])
-    np.matmul(q[:, :n].T, k, out=d)
-    if signs is None:
-        np.copyto(d_pos, d[:, :cols])
-        np.copyto(d_neg, d[:, cols:])
-    else:
-        d_pos += d[:, :cols]
-        d_neg += d[:, cols:]
-    return s
+        # +0.0 where the sign is clear: the inputs are finite, >= 0
+        rev = np.multiply(x, signs, out=_scratch("rev", x.shape, x.dtype))
+        x -= rev  # exactly 0 where the sign is set: the forward phase
+        product = _scratch("product", out.shape[1:], out.dtype)
+    for plane, forward, reverse in ((out[0], pos, neg), (out[1], neg, pos)):
+        np.matmul(x.T, forward, out=plane)
+        if signs is not None:
+            plane += np.matmul(rev.T, reverse, out=product)
+    return out
 
 
 _local = threading.local()
@@ -347,6 +330,8 @@ def ideal_reference(decoded_inputs: np.ndarray, weight_levels: np.ndarray) -> np
     w = np.asarray(weight_levels, dtype=float)
     if d.ndim != 2:
         raise ContractError(f"decoded inputs must be a (rows, n) batch, not {d.shape}")
+    if w.ndim != 2:
+        raise ContractError(f"weight levels must be a (rows, cols) matrix, not {w.shape}")
     if d.shape[0] != w.shape[0]:
         raise ContractError("input length must match weight rows")
     return d.T @ w

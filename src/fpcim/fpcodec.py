@@ -55,6 +55,8 @@ class FpFormat:
     mantissa_bits: int
 
     def __post_init__(self):
+        if not (is_int(self.exponent_bits) and is_int(self.mantissa_bits)):
+            raise ContractError(f"bit widths must be integers, got {self!r}")
         if self.exponent_bits + self.mantissa_bits != CODE_BITS:
             raise ContractError("exponent and mantissa bits must total 7")
         if self.exponent_bits not in (2, 3):

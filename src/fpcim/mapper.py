@@ -158,6 +158,8 @@ def map_fc(layer: LayerSpec) -> TilePlan:
 
 def conv_output_shape(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
     _check_layer(layer, "conv", "conv_output_shape requires a conv layer")
+    if not (is_int(h) and is_int(w)):
+        raise ContractError(f"input height and width must be integers, got {h!r}, {w!r}")
     oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
     ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
     if oh < 1 or ow < 1:
@@ -238,10 +240,11 @@ class MacroBank:
         ``max(max, -min)`` with no ``|w|`` copy (1 for an all-zero block).
         A matrix wider than one block is first reduced to per-column maxima
         and minima in row passes, where a block's column slice would be
-        read strided.  Every tile is divided into one reused buffer, and a
-        noiseless bank's levels are views of one allocation: with one fresh
-        array per tile, every other repeated mlp set-up faulted its levels'
-        pages in anew.
+        read strided.  Every tile is divided into one reused buffer, and
+        every tile's planes, levels or conductances, are views of one bank
+        buffer of the device's ``tile_dtype``: with one fresh array per
+        tile, every other repeated mlp set-up faulted its levels' pages in
+        anew, and every mc trial its conductances'.
         ``seed`` must be a non-negative integer; tile ``t`` is programmed
         with the Python int ``seed + t.id``.
         """
@@ -255,7 +258,7 @@ class MacroBank:
         wide = plan.cols > MAX_COLS
         col_max, col_min = (w.max(axis=0), w.min(axis=0)) if wide else (w, w)
         buffer = np.empty(min(plan.rows, MAX_ROWS) * min(plan.cols, MAX_COLS))
-        levels = np.empty(2 * w.size, np.float32) if config.device.sigma_rel == 0 else None
+        planes = np.empty(2 * w.size, config.device.tile_dtype)
         tiles, at = [], 0
         for block in plan.col_blocks():
             lo, hi = block[0].col_start, block[0].col_stop
@@ -266,7 +269,7 @@ class MacroBank:
                 size = t.rows * t.cols
                 tile = np.divide(w[t.row_start : t.row_stop, lo:hi], beta,
                                  out=buffer[:size].reshape(t.rows, t.cols))
-                out = None if levels is None else levels[2 * at : 2 * (at + size)].reshape(t.rows, -1)
+                out = planes[2 * at : 2 * (at + size)].reshape(2, t.rows, t.cols)
                 at += size
                 pair = program_weights(tile, config.device, seed=seed + t.id, out=out)
                 tiles.append(ProgrammedTile(pair, beta))

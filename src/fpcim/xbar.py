@@ -8,14 +8,15 @@ steps per sign.
 
 Programming works on the signed weight throughout: the level is
 ``rint(w * (levels - 1))``, and the two columns hold its positive part
-``kp`` and its negative part ``kn``.  A noiseless cell's conductance is
-then ``g_min + k * g_lsb`` with an integer ``k``, so a noiseless tile is
-stored as its integer levels, one float32 ``[kp | kn]`` matrix, and its
-conductance planes are derived from them on every read; the macro sums
-with the integers themselves (``cimmacro``).  A noisy tile is its two
-float64 conductance planes.  Both are programmed in row blocks through
-one block-sized scratch array, so programming allocates nothing
-tile-sized beside what it returns (see ``program_weights``).
+``kp`` and its negative part ``kn``.  Every tile is one ``(2, rows, cols)``
+array, plane 0 the positive columns and plane 1 the negative ones.  A
+noiseless cell's conductance is ``g_min + k * g_lsb`` with an integer
+``k``, so a noiseless tile stores its integer levels in float32 planes,
+and its conductance planes are derived from them on every read; the macro
+sums with the integers themselves (``cimmacro``).  A noisy tile stores its
+float64 conductance planes.  Both are programmed in row blocks through one
+block-sized scratch array, so programming allocates nothing tile-sized
+beside what it returns (see ``program_weights``).
 
 Column currents follow Ohm's law and Kirchhoff's current law with the
 source line clamped: the model works with the current magnitude entering
@@ -72,6 +73,11 @@ class DeviceModel:
         """Weight-level units per unit normalized weight."""
         return float(self.levels - 1)
 
+    @property
+    def tile_dtype(self) -> np.dtype:
+        """What a programmed tile stores: float32 levels when noiseless, float64 conductances."""
+        return np.dtype(np.float32 if self.sigma_rel == 0 else np.float64)
+
 
 class ConductancePair:
     """Differential conductance matrices holding one tile of signed weights.
@@ -79,16 +85,19 @@ class ConductancePair:
     ``ConductancePair(g_pos, g_neg)`` holds the two (rows, cols) planes, as
     a noisy device programs them; ``levels`` and ``device`` are None.  A
     noiseless tile (``program_weights``) holds only its integer levels:
-    ``levels`` is one C-contiguous float32 ``[kp | kn]`` matrix of shape
-    (rows, 2 * cols), the levels of the positive and the negative columns
-    in 0..levels-1, and ``device`` the model they are levels of.  Its
-    ``g_pos`` and ``g_neg`` are derived on every read, fresh, as ``k /
-    level_scale * span + g_min``: the bits the planes of a noiseless
-    programming always had.  Every stored array is read-only, and so is
-    the pair: setting an attribute raises, as it did on a frozen dataclass.
+    ``levels`` is one C-contiguous float32 (2, rows, cols) array, plane 0
+    the levels ``kp`` of the positive columns and plane 1 those ``kn`` of
+    the negative ones, in 0..levels-1, and ``device`` the model they are
+    levels of.  Its ``g_pos`` and ``g_neg`` are derived on every read,
+    fresh, as ``k / level_scale * span + g_min``: the bits the planes of a
+    noiseless programming always had.  Every stored array is read-only, and
+    so is the pair: setting an attribute raises, as it did on a frozen
+    dataclass.
     """
 
     def __init__(self, g_pos: np.ndarray, g_neg: np.ndarray):
+        if not (isinstance(g_pos, np.ndarray) and isinstance(g_neg, np.ndarray)):
+            raise ContractError(f"g_pos and g_neg must be arrays, got {type(g_pos)}, {type(g_neg)}")
         if g_pos.shape != g_neg.shape or g_pos.ndim != 2:
             raise ContractError("g_pos and g_neg must be equal-shape 2D matrices")
         _check_tile(*g_pos.shape)
@@ -100,7 +109,7 @@ class ConductancePair:
 
     @classmethod
     def _of_levels(cls, levels: np.ndarray, device: "DeviceModel") -> "ConductancePair":
-        _check_tile(levels.shape[0], levels.shape[1] // 2)
+        _check_tile(*levels.shape[1:])
         pair = cls.__new__(cls)
         levels.flags.writeable = False
         vars(pair).update(_planes=None, levels=levels, device=device)
@@ -111,10 +120,7 @@ class ConductancePair:
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self.levels is None:
-            return self._planes[0].shape
-        rows, cols = self.levels.shape
-        return rows, cols // 2
+        return self._planes[0].shape if self.levels is None else self.levels.shape[1:]
 
     @property
     def g_pos(self) -> np.ndarray:
@@ -124,11 +130,10 @@ class ConductancePair:
     def g_neg(self) -> np.ndarray:
         return self._plane(1)
 
-    def _plane(self, half: int) -> np.ndarray:
+    def _plane(self, index: int) -> np.ndarray:
         if self.levels is None:
-            return self._planes[half]
-        cols = self.shape[1]
-        g = self.levels[:, half * cols : (half + 1) * cols].astype(float)
+            return self._planes[index]
+        g = self.levels[index].astype(float)
         g /= self.device.level_scale
         g *= self.device.g_max - self.device.g_min
         g += self.device.g_min
@@ -149,7 +154,12 @@ def weight_levels(weights: np.ndarray, model: DeviceModel, out: np.ndarray | Non
     ``np.sign(w) * np.rint(np.abs(w) * (levels - 1))`` in value, and bit
     for bit except at w = -0.0, where it gives -0.0 (the |w| form +0.0).
     """
-    a = np.multiply(np.asarray(weights, dtype=float), model.levels - 1, out=out)
+    if not isinstance(model, DeviceModel):
+        raise ContractError(f"model must be a DeviceModel, got {model!r}")
+    w = np.asarray(weights, dtype=float)
+    if w.ndim == 0:
+        raise ContractError(f"weights must be an array, got {weights!r}")
+    a = np.multiply(w, model.levels - 1, out=out)
     return np.rint(a, out=a)
 
 
@@ -162,23 +172,22 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0,
     drawn from the given seed, clamped back into [g_min, g_max].  The seed
     must be a non-negative integer at every ``sigma_rel``.
 
-    The ``weight_levels`` array ``k`` is rounded in row blocks into one
-    scratch array of ``max(1, _BLOCK // cols)`` rows.  A noiseless pair
-    holds its integer levels (``ConductancePair``): ``kp = max(k, 0)`` and
-    ``kn = max(-k, 0)`` (``k`` negated in place) cast into one float32
-    ``[kp | kn]`` matrix, exact for integers up to 2^24, so a noiseless
-    device must have at most 2^24 levels.  The matrix is ``out``, a
-    writeable C-contiguous float32 (rows, 2 * cols) array, if given, else
-    a fresh one.
+    The tile is one (2, rows, cols) array of the device's ``tile_dtype``:
+    ``out``, a writeable C-contiguous array of that dtype and shape, if
+    given, else a fresh one.  The ``weight_levels`` array ``k`` is rounded
+    in row blocks into one scratch array of ``max(1, _BLOCK // cols)``
+    rows, and each block is written into the two planes as ``max(a, 0)``
+    and ``max(-a, 0)`` (``a`` negated in place).  A noiseless pair holds
+    these planes as its integer levels (``ConductancePair``), with ``a =
+    k``: float32 is exact for integers up to 2^24, so a noiseless device
+    must have at most 2^24 levels.
 
-    A noisy pair's matrices are planes of one ``(2, rows, cols)`` float64
-    buffer: plane 0 is ``g_pos``, plane 1 ``g_neg``.  Each block of ``k``
-    is divided by ``level_scale`` and multiplied by the span in place,
-    giving the signed conductance step ``a``; the planes are ``max(a, 0) +
-    g_min`` and ``max(-a, 0) + g_min``.  Each noise factor lives in the
-    same scratch array, filled block by block: plane 0's noise in row
-    order, then plane 1's.  That is the same stream as one
-    ``standard_normal`` draw into the whole buffer, and a float product
+    A noisy pair's planes are its conductances: ``a`` is ``k`` divided by
+    ``level_scale`` and multiplied by the span in place, the signed
+    conductance step, and ``g_min`` is added to both planes.  Each noise
+    factor lives in the same scratch array, filled block by block: plane
+    0's noise in row order, then plane 1's.  That is the same stream as one
+    ``standard_normal`` draw into the whole array, and a float product
     commutes, so every bit matches the whole-array form, which allocated
     two tile-sized temporaries per call.
     """
@@ -199,17 +208,13 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0,
         raise ContractError("weight magnitudes must be pre-scaled to [0, 1]")
 
     rows, cols = w.shape
-    if out is not None and not (
-            noiseless and isinstance(out, np.ndarray) and out.dtype == np.float32
-            and out.shape == (rows, 2 * cols) and out.flags.c_contiguous and out.flags.writeable):
-        raise ContractError(f"out must be a noiseless tile's writeable C-contiguous float32 "
-                            f"{(rows, 2 * cols)} levels")
-    if noiseless:
-        levels = np.empty((rows, 2 * cols), np.float32) if out is None else out
-        pos, neg = levels[:, :cols], levels[:, cols:]
-    else:
-        g = np.empty((2, rows, cols))
-        pos, neg = g
+    dtype = model.tile_dtype
+    if out is None:
+        out = np.empty((2, rows, cols), dtype)
+    elif not (isinstance(out, np.ndarray) and out.dtype == dtype and out.shape == (2, rows, cols)
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ContractError(f"out must be a writeable C-contiguous {dtype} {(2, rows, cols)} array")
+    pos, neg = out
     step = max(1, _BLOCK // cols)
     scratch = np.empty((min(step, rows), cols))
     blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
@@ -221,15 +226,15 @@ def program_weights(weights: np.ndarray, model: DeviceModel, seed: int = 0,
         np.maximum(a, 0.0, out=pos[lo:hi])
         np.maximum(np.negative(a, out=a), 0.0, out=neg[lo:hi])
     if noiseless:
-        return ConductancePair._of_levels(levels, model)
+        return ConductancePair._of_levels(out, model)
 
-    g += model.g_min
+    out += model.g_min
     rng = np.random.default_rng(seed)
-    for plane in g:
+    for plane in out:
         for lo, hi in blocks:
             noise = rng.standard_normal(out=scratch[: hi - lo])
             noise *= model.sigma_rel
             noise += 1.0
             plane[lo:hi] *= noise
-    np.clip(g, model.g_min, model.g_max, out=g)
-    return ConductancePair(g[0], g[1])
+    np.clip(out, model.g_min, model.g_max, out=out)
+    return ConductancePair(pos, neg)

@@ -648,8 +648,9 @@ def test_calibrate_contracts():
 
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 def test_build_programs_each_tile_as_program_weights_does(sigma):
-    # the reused division buffer and the bank's one level allocation
-    # change no bit and leave the caller's weights alone;
+    # the reused division buffer and the bank's one buffer change no bit
+    # and leave the caller's weights alone; every tile's planes, levels or
+    # conductances, are views of that one buffer of the device's dtype;
     # a wide matrix with ragged row and column tails
     rng = np.random.default_rng(9)
     w = rng.uniform(-2, 2, (MAX_ROWS + 37, MAX_COLS + 20))
@@ -658,6 +659,8 @@ def test_build_programs_each_tile_as_program_weights_does(sigma):
     plan = TilePlan(*w.shape)
     bank = MacroBank.build(plan, w, cfg, seed=4)
     np.testing.assert_array_equal(w, kept)
+    buffer = (bank[0].pair.g_pos if sigma else bank[0].pair.levels).base
+    assert buffer.dtype == cfg.device.tile_dtype and buffer.shape == (2 * w.size,)
     for t in plan.tiles:
         scale = bank[t.id].weight_scale
         assert scale == np.max(np.abs(w[:, t.col_start : t.col_stop]))
@@ -665,6 +668,8 @@ def test_build_programs_each_tile_as_program_weights_does(sigma):
                                cfg.device, seed=4 + t.id)
         got = bank[t.id].pair
         assert got.shape == (t.rows, t.cols)
+        for plane in (got.g_pos, got.g_neg) if sigma else got.levels:
+            assert plane.base is buffer
         if sigma:
             np.testing.assert_array_equal(got.g_pos, want.g_pos)
             np.testing.assert_array_equal(got.g_neg, want.g_neg)

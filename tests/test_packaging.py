@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import fpcim
-from fpcim import adc, cimmacro, dac, fpcodec
+from fpcim import adc, cimmacro, dac, fpcodec, mapper, perfmodel, xbar
 from fpcim.errors import ContractError
+from fpcim.fpcodec import E2M5
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["fpcim"] + [f"fpcim.{m.name}" for m in pkgutil.iter_modules(fpcim.__path__)]
@@ -71,6 +72,112 @@ def test_no_function_defaults_the_format(module):
     defaulted = [name for name, _, fmt in format_parameters(module)
                  if fmt.default is not inspect.Parameter.empty]
     assert not defaulted, f"{module}: fmt has a default in {defaulted}"
+
+
+def qualified(obj):
+    return f"{obj.__module__}.{obj.__qualname__}".removeprefix("fpcim.")
+
+
+# Classes of ``__all__`` that only carry a result: they check nothing they hold.
+RECORDS = {"adc.AdcEvent", "adc.AdcResult", "cimmacro.MacroResult", "mapper.PlanResult",
+           "mapper.Tile", "perfmodel.PerfReport"}
+
+
+def entry_points(module):
+    """(name, callable): each public function of ``module`` and each class of its
+    ``__all__`` but the result records and the error type."""
+    mod = importlib.import_module(module)
+    for _, fn in public_functions(mod):
+        yield qualified(fn), fn
+    for name in getattr(mod, "__all__", ()):
+        cls = getattr(mod, name)
+        if inspect.isclass(cls) and not issubclass(cls, Exception):
+            if qualified(cls) not in RECORDS:
+                yield qualified(cls), cls
+
+
+_W = np.full((4, 2), 0.5)
+_BITS = np.full((4, 3), 0b0100000, np.uint8)
+_CONV = mapper.LayerSpec.conv(1, 3, 2)
+_PLAN = mapper.TilePlan(4, 2)
+_BANK = mapper.MacroBank.build(_PLAN, _W, cimmacro.MacroConfig())
+
+# One valid call per entry point: (callable, positional arguments).  Every
+# argument listed must reject None; one that takes None is left out.
+VALID_CALLS = {
+    "adc.AdcConfig": (adc.AdcConfig, (100e-15, 95e-9)),
+    "adc.AdcConfig.cap_bank": (adc.AdcConfig().cap_bank, (E2M5,)),
+    "adc.adc_x": (adc.adc_x, (3e-6, adc.AdcConfig())),
+    "adc.charge_share": (adc.charge_share, (2.0, 100e-15, 100e-15, 0.0)),
+    "adc.single_slope": (adc.single_slope, (1.5, E2M5)),
+    "adc.convert_analytic": (adc.convert_analytic, (3e-6, adc.AdcConfig(), E2M5)),
+    "adc.convert_analytic_array":
+        (adc.convert_analytic_array, (np.array([3e-6]), adc.AdcConfig(), E2M5)),
+    "adc.simulate_transient": (adc.simulate_transient, (3e-6, adc.AdcConfig(), E2M5)),
+    "adc.int8_baseline_convert": (adc.int8_baseline_convert, (np.array([3e-6]), adc.AdcConfig())),
+    "adc.x_sat": (adc.x_sat, (E2M5,)),
+    "cimmacro.MacroConfig":
+        (cimmacro.MacroConfig, (E2M5, adc.AdcConfig(), xbar.DeviceModel())),
+    "cimmacro.MacroConfig.for_format": (cimmacro.MacroConfig.for_format, (E2M5,)),
+    "cimmacro.converter": (cimmacro.converter, ("adc", E2M5)),
+    "cimmacro.scale_chain": (cimmacro.scale_chain, (cimmacro.MacroConfig(),)),
+    "cimmacro.macro_mac": (cimmacro.macro_mac, (_BITS, _BANK[0].pair, _BANK.config)),
+    "cimmacro.ideal_reference": (cimmacro.ideal_reference, (np.ones((4, 3)), np.ones((4, 2)))),
+    "cimmacro.batch_inputs": (cimmacro.batch_inputs, (_BITS,)),
+    "dac.dac_convert_bits": (dac.dac_convert_bits, (_BITS, E2M5)),
+    "fpcodec.FpFormat": (fpcodec.FpFormat, (2, 5)),
+    "fpcodec.decode": (fpcodec.decode, (33, E2M5)),
+    "fpcodec.decode_bits": (fpcodec.decode_bits, (_BITS, E2M5)),
+    "fpcodec.all_values": (fpcodec.all_values, (E2M5,)),
+    "fpcodec.check_format": (fpcodec.check_format, (E2M5,)),
+    "fpcodec.quantize_tensor": (fpcodec.quantize_tensor, (np.ones(3), E2M5)),
+    "mapper.LayerSpec": (mapper.LayerSpec, ("conv", 1, 3, 2)),
+    "mapper.LayerSpec.conv": (mapper.LayerSpec.conv, (1, 3, 2)),
+    "mapper.LayerSpec.fc": (mapper.LayerSpec.fc, (4, 2)),
+    "mapper.TilePlan": (mapper.TilePlan, (4, 2)),
+    "mapper.TilePlan.col_blocks": (_PLAN.col_blocks, ()),
+    "mapper.map_conv": (mapper.map_conv, (_CONV,)),
+    "mapper.map_fc": (mapper.map_fc, (mapper.LayerSpec.fc(4, 2),)),
+    "mapper.im2col": (mapper.im2col, (np.ones((1, 1, 4, 4)), _CONV)),
+    "mapper.conv_output_shape": (mapper.conv_output_shape, (_CONV, 4, 4)),
+    "mapper.MacroBank": (mapper.MacroBank, (_PLAN, _BANK.config, _BANK.tiles)),
+    "mapper.MacroBank.build": (mapper.MacroBank.build, (_PLAN, _W, _BANK.config, 0)),
+    "mapper.execute_plan": (mapper.execute_plan, (_PLAN, _BITS, _BANK)),
+    "mapper.calibrate": (mapper.calibrate, (_PLAN, _BANK, _BITS)),
+    "perfmodel.BlockPowers": (perfmodel.BlockPowers, (1e-3, 1e-3, 1e-3, 1e-3)),
+    "perfmodel.EnergyParams": (perfmodel.EnergyParams, (perfmodel.DEFAULT_PARAMS.blocks,)),
+    "perfmodel.EnergyParams.total": (perfmodel.DEFAULT_PARAMS.total, ("E2M5",)),
+    "perfmodel.throughput_from": (perfmodel.throughput_from, (200e-9,)),
+    "perfmodel.total_comparison": (perfmodel.total_comparison, ()),
+    "xbar.DeviceModel": (xbar.DeviceModel, (0.5e-6, 20e-6, 16, 0.0)),
+    "xbar.ConductancePair": (xbar.ConductancePair, (np.full((4, 2), 1e-6), np.full((4, 2), 1e-6))),
+    "xbar.program_weights": (xbar.program_weights, (_W, xbar.DeviceModel(), 0)),
+    "xbar.weight_levels": (xbar.weight_levels, (_W, xbar.DeviceModel())),
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_none_in_any_argument_raises_contract_error(module):
+    # a wrong-typed argument fails at the boundary with ContractError, not
+    # as an AttributeError or a TypeError inside; a new entry point with no
+    # valid call in the table fails here too
+    wrong = []
+    for name, _ in entry_points(module):
+        if name not in VALID_CALLS:
+            wrong.append(f"{name}: no valid call in VALID_CALLS")
+            continue
+        fn, args = VALID_CALLS[name]
+        fn(*args)
+        for i in range(len(args)):
+            try:
+                fn(*args[:i], None, *args[i + 1:])
+            except ContractError:
+                continue
+            except Exception as e:  # noqa: BLE001 -- reported below, with every other case
+                wrong.append(f"{name}, argument {i} None: {type(e).__name__}: {e}")
+            else:
+                wrong.append(f"{name}, argument {i} None: no error")
+    assert not wrong, "\n".join(wrong)
 
 
 # One call per public function that takes a format, every argument but fmt valid.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcim.cimmacro import MacroConfig, _column_currents, _exact_dtype, _level_sums, macro_mac
+from fpcim.cimmacro import MacroConfig, _column_currents, _exact_dtype, _two_phase, macro_mac
 from fpcim.dac import V_UNIT, dac_convert_bits
 from fpcim.errors import ContractError
 from fpcim.fpcodec import _BLOCK, E2M5, E3M4, decode_bits
@@ -420,21 +420,22 @@ def test_nan_conductances_rejected():
 # ------------------------------------------------------- noiseless levels
 
 def test_noiseless_pair_holds_its_levels_and_derives_its_planes():
-    # one read-only float32 [kp | kn] matrix and no planes: each read derives
-    # a fresh pair of planes with the noiseless formula's bits
+    # one read-only float32 (2, rows, cols) array of kp and kn planes and no
+    # conductance planes: each read derives a fresh pair of planes with the
+    # noiseless formula's bits
     w = np.random.default_rng(12).uniform(-1, 1, (37, 5))
     pair = program_weights(w, NOISELESS)
     k = weight_levels(w, NOISELESS)
-    assert pair.levels.dtype == np.float32 and pair.levels.shape == (37, 10)
+    assert pair.levels.dtype == np.float32 and pair.levels.shape == (2, 37, 5)
     assert pair.levels.flags.c_contiguous and not pair.levels.flags.writeable
     assert pair.device == NOISELESS and pair.shape == (37, 5)
-    np.testing.assert_array_equal(pair.levels, np.hstack([np.maximum(k, 0), np.maximum(-k, 0)]))
+    np.testing.assert_array_equal(pair.levels, [np.maximum(k, 0), np.maximum(-k, 0)])
     assert pair.g_pos is not pair.g_pos and not np.shares_memory(pair.g_pos, pair.levels)
     want_pos, want_neg = two_draw_program(w, NOISELESS, seed=0)
     np.testing.assert_array_equal(int_bits(pair.g_pos), int_bits(want_pos))
     top = DeviceModel(levels=2**24)  # the largest level count: odd levels above 2^23 too
     np.testing.assert_array_equal(program_weights([[1.0, -(2**24 - 3) / (2**24 - 1)]], top).levels,
-                                  [[2**24 - 1, 0, 0, 2**24 - 3]])
+                                  [[[2**24 - 1, 0]], [[0, 2**24 - 3]]])
     # above 2^24 a float32 level is inexact: only a noisy device programs it
     with pytest.raises(ContractError, match="at most 2\\^24"):
         program_weights([[1.0]], DeviceModel(levels=2**24 + 1))
@@ -452,31 +453,38 @@ def test_noiseless_pair_holds_its_levels_and_derives_its_planes():
 
 
 def test_program_levels_into_out():
-    # build's path: the levels are written into the caller's array, and
-    # the tile is rounded in row blocks, so nothing tile-sized is allocated
-    # (the 128 KiB block scratch and the casting loops' buffers)
+    # build's path: a noiseless tile's levels, or a noisy one's conductances,
+    # are written into the caller's array, and the tile is rounded in row
+    # blocks, so nothing tile-sized is allocated (the 128 KiB block scratch
+    # and the casting loops' buffers)
     rng = np.random.default_rng(13)
     w = rng.uniform(-1, 1, (576, 256))
-    want = program_weights(w, NOISELESS).levels
-    kept, out = w.copy(), np.empty((576, 512), np.float32)
-    tracemalloc.start()
-    try:
-        pair = program_weights(w, NOISELESS, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < out.nbytes / 4
-    assert pair.levels is out
-    np.testing.assert_array_equal(out, want)
-    np.testing.assert_array_equal(w, kept)
+    kept = w.copy()
+    for device in (NOISELESS, DeviceModel(sigma_rel=0.05)):
+        want = program_weights(w, device, seed=5)
+        out = np.empty((2, 576, 256), device.tile_dtype)
+        tracemalloc.start()
+        try:
+            pair = program_weights(w, device, seed=5, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 4
+        if device is NOISELESS:
+            assert pair.levels is out
+            np.testing.assert_array_equal(out, want.levels)
+        else:
+            assert pair.g_pos.base is out and pair.g_neg.base is out
+            np.testing.assert_array_equal(out, [want.g_pos, want.g_neg])
+        np.testing.assert_array_equal(w, kept)
 
 
 @pytest.mark.parametrize("out, sigma", [
-    (np.empty((4, 4), np.float32), 0.05),  # a noisy tile has no levels
-    (np.empty((4, 4)), 0.0),
-    (np.empty((4, 2), np.float32), 0.0),
-    (np.empty((4, 8), np.float32)[:, ::2], 0.0),
-    ([[0.0] * 4] * 4, 0.0),
+    (np.empty((2, 4, 2), np.float32), 0.05),  # a noisy tile stores float64 conductances
+    (np.empty((2, 4, 2)), 0.0),  # a noiseless one float32 levels
+    (np.empty((4, 4), np.float32), 0.0),  # not one (2, rows, cols) array
+    (np.empty((2, 4, 4), np.float32)[:, :, ::2], 0.0),
+    ([[[0.0] * 2] * 4] * 2, 0.0),
 ], ids=["noisy", "float64", "shape", "strided", "list"])
 def test_program_out_must_be_a_noiseless_tiles_levels(out, sigma):
     with pytest.raises(ContractError, match="out must be"):
@@ -490,9 +498,17 @@ def test_program_weights_rejects_a_non_device(model):
 
 
 def level_sums(bits, signs, w, fmt):
-    """(S, D) of a noiseless tile of weights ``w``, D as its (2, n, cols) planes."""
-    d = np.empty((2, bits.shape[1], w.shape[1]))
-    return _level_sums(bits, signs, program_weights(w, NOISELESS), fmt, d), d
+    """(S, D) of a noiseless tile of weights ``w``, D as its (2, n, cols) planes.
+
+    ``D`` is the two-phase sum of ``q`` and the tile's level planes in
+    ``_exact_dtype``, as ``_column_currents`` forms it, cast to float64.
+    """
+    dtype = _exact_dtype(fmt, NOISELESS)
+    dec = decode_bits(bits, fmt)
+    q = (dec * fmt.mant_levels).astype(dtype)
+    k = program_weights(w, NOISELESS).levels.astype(dtype)
+    d = _two_phase(q, signs, k, np.empty((2, bits.shape[1], w.shape[1]), dtype))
+    return dec.sum(axis=0), d.astype(float)
 
 
 @pytest.mark.parametrize("fmt", [E2M5, E3M4], ids=lambda f: f.name)
